@@ -29,7 +29,6 @@ from curvegerm.holder import (
     BASELINE,
     HolderVerdict,
     Obstruction,
-    PermutationCapExceeded,
     STATUS_DISTINCT,
     STATUS_EQUIVALENT,
     branch_obstruction,
@@ -90,7 +89,6 @@ __all__ = [
     "GermValidationError",
     "HolderVerdict",
     "Obstruction",
-    "PermutationCapExceeded",
     "PuiseuxBranch",
     "Rational",
     "STATUS_DISTINCT",

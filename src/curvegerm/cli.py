@@ -6,7 +6,7 @@ Commands read germ files in the JSON format documented in
 like "4/5" and decimals appear only in explicitly numeric fields.
 
 Exit codes: 0 success, 2 parse or validation error, 3 truncation
-insufficient, 4 permutation cap exceeded or unsupported request.
+insufficient, 4 unsupported request.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from curvegerm.contact import contact, contact_report
-from curvegerm.holder import PermutationCapExceeded, classify
+from curvegerm.holder import classify
 from curvegerm.invariants import characteristic_data
 from curvegerm.metric import (
     DEFAULT_ANGLES,
@@ -93,10 +93,7 @@ def _cmd_contact(args) -> dict:
 
 
 def _cmd_classify(args) -> dict:
-    verdict = classify(
-        load_germ(args.file_a), load_germ(args.file_b), permutation_cap=args.permutation_cap
-    )
-    return verdict.to_dict()
+    return classify(load_germ(args.file_a), load_germ(args.file_b)).to_dict()
 
 
 def _write_csv(path, radii, gaps, header=("r", "gap")):
@@ -233,13 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument(
-        "--permutation-cap",
-        type=int,
-        default=8,
-        metavar="M",
-        help="largest branch count searched exhaustively (default 8)",
-    )
-    common.add_argument(
         "--tolerance",
         type=float,
         default=0.1,
@@ -312,7 +302,7 @@ def main(argv=None) -> int:
     except TruncationExceeded as exc:
         _emit_error("truncation", str(exc), args.json, lower_bound=exc.lower_bound)
         return EXIT_TRUNCATION
-    except (PermutationCapExceeded, UnsupportedRequest) as exc:
+    except UnsupportedRequest as exc:
         _emit_error("unsupported", str(exc), args.json)
         return EXIT_UNSUPPORTED
     except ValueError as exc:

@@ -22,20 +22,27 @@ from curvegerm.puiseux import (
 )
 
 
-def coincidence(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
-    """Maximal order of agreement of the two branches over all conjugates.
+def _difference_orders(b1: PuiseuxBranch, b2: PuiseuxBranch) -> list:
+    """The one conjugate sweep of a branch pair.
 
-    Raises TruncationExceeded when any conjugate comparison is
-    inconclusive, since the true maximum might then be hidden beyond the
-    truncation.
+    One entry per conjugate of b2: the difference order against b1, or
+    the TruncationExceeded that blocked that conjugate.
     """
-    values: list[Fraction] = []
-    blocked: list[tuple[int, Fraction | None]] = []
+    orders: list = []
     for k in range(b2.n):
         try:
-            values.append(difference_order(b1, conjugate(b2, k)))
+            orders.append(difference_order(b1, conjugate(b2, k)))
         except TruncationExceeded as exc:
-            blocked.append((k, exc.lower_bound))
+            orders.append(exc)
+    return orders
+
+
+def _coincidence_of(orders) -> Fraction:
+    """Contact read off one sweep: the largest difference order."""
+    values = [v for v in orders if isinstance(v, Fraction)]
+    blocked = [
+        (k, v.lower_bound) for k, v in enumerate(orders) if isinstance(v, TruncationExceeded)
+    ]
     if blocked:
         bounds = [lb for _, lb in blocked if lb is not None]
         which = ", ".join(str(k) for k, _ in blocked)
@@ -46,6 +53,30 @@ def coincidence(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
     return max(values)
 
 
+def _intersection_of(n1: int, orders) -> int:
+    """Intersection number read off one sweep: n1 times the sum."""
+    for v in orders:
+        if isinstance(v, TruncationExceeded):
+            raise v
+    total = n1 * sum(orders)
+    if total.denominator != 1 or total <= 0:
+        raise RuntimeError(
+            f"intersection multiplicity came out as {total}, not a positive "
+            "integer: internal bug or insufficient truncation"
+        )
+    return int(total)
+
+
+def coincidence(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
+    """Maximal order of agreement of the two branches over all conjugates.
+
+    Raises TruncationExceeded when any conjugate comparison is
+    inconclusive, since the true maximum might then be hidden beyond the
+    truncation.
+    """
+    return _coincidence_of(_difference_orders(b1, b2))
+
+
 def contact(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
     """Contact exponent of two distinct branches (their coincidence)."""
     return coincidence(b1, b2)
@@ -53,14 +84,7 @@ def contact(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
 
 def intersection_multiplicity(b1: PuiseuxBranch, b2: PuiseuxBranch) -> int:
     """Local intersection number of two distinct branches at the origin."""
-    orders = [difference_order(b1, conjugate(b2, k)) for k in range(b2.n)]
-    total = b1.n * sum(orders)
-    if total.denominator != 1 or total <= 0:
-        raise RuntimeError(
-            f"intersection multiplicity came out as {total}, not a positive "
-            "integer: internal bug or insufficient truncation"
-        )
-    return int(total)
+    return _intersection_of(b1.n, _difference_orders(b1, b2))
 
 
 @dataclass(frozen=True)
@@ -111,15 +135,14 @@ def contact_report(g: CurveGerm) -> ContactReport:
     inter: list[list[int | None]] = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(i + 1, r):
+            orders = _difference_orders(g.branches[i], g.branches[j])
             try:
-                cont[i][j] = cont[j][i] = coincidence(g.branches[i], g.branches[j])
-                inter[i][j] = inter[j][i] = intersection_multiplicity(
-                    g.branches[i], g.branches[j]
-                )
+                cont[i][j] = cont[j][i] = _coincidence_of(orders)
             except TruncationExceeded as exc:
                 raise TruncationExceeded(
                     f"branch pair ({i}, {j}): {exc}", lower_bound=exc.lower_bound
                 ) from None
+            inter[i][j] = inter[j][i] = _intersection_of(g.branches[i].n, orders)
     return ContactReport(
         r,
         tuple(tuple(row) for row in cont),

@@ -11,6 +11,19 @@ When instead some bijection of branches preserves all characteristic
 data and all pairwise contacts, the germs are topologically equivalent,
 hence bi-Lipschitz equivalent, and the verdict says so.
 
+That bijection is found on the contact tree (the Kuo-Lu / Eggers tree)
+rather than by search.  Contact is an ultrametric, so each germ's
+contact matrix is a rooted tree: its leaves are the branches, labelled
+by their characteristic exponents, and an internal node labelled c
+splits its branches into the classes of "contact > c".  A bijection
+keeps every beta and every contact exactly when it is an isomorphism of
+these labelled trees, which canonical codes in the manner of Aho,
+Hopcroft and Ullman decide.  By Zariski and Burau, characteristic data
+plus pairwise contacts is the complete topological invariant of a germ,
+so comparing trees decides the same question as a search over all r!
+bijections, and the bijection returned is the one such a search finds
+first in lexicographic order.
+
 All thresholds are exact rationals; the fourth root is applied only at
 presentation time.
 """
@@ -39,10 +52,6 @@ BASELINE = Fraction(1, 2)
 #: Smooth branches enter the pair obstruction with this formal pair,
 #: their only Puiseux exponent being 1.
 FORMAL_SMOOTH_PAIR = ((1, 1),)
-
-
-class PermutationCapExceeded(Exception):
-    """Too many branches for the exhaustive bijection search."""
 
 
 def pair_obstruction(pairs1, j: int, pairs2, i: int) -> Fraction:
@@ -173,16 +182,103 @@ class HolderVerdict:
         }
 
 
-def classify(germ1: CurveGerm, germ2: CurveGerm, permutation_cap: int = 8) -> HolderVerdict:
+def _contact_tree(contact, betas, codes):
+    """Canonical code of every node of a germ's contact tree.
+
+    Returns ``(code, paths)``: ``code[node]`` is the node's canonical
+    code and ``paths[i]`` lists the nodes from the root down to the leaf
+    of branch i.  ``codes`` interns (label, sorted child codes) keys as
+    small integers; share it between two germs to compare their trees.
+    Raises RuntimeError when the contacts are not an ultrametric, which
+    exact contacts always are.
+    """
+    # contact values as ranks: the scans below compare ints, not Fractions
+    levels = sorted({v for row in contact for v in row if v is not None})
+    rank = {v: k for k, v in enumerate(levels)}
+    c = [[-1 if v is None else rank[v] for v in row] for row in contact]
+    code: list[int] = []
+    paths: list[list[int]] = [[] for _ in betas]
+
+    def build(members):
+        node = len(code)
+        code.append(-1)
+        for i in members:
+            paths[i].append(node)
+        if len(members) == 1:
+            key = ("leaf", betas[members[0]])
+        else:
+            pairs = list(itertools.combinations(members, 2))
+            level = min(c[i][j] for i, j in pairs)
+            classes: list[list[int]] = []
+            where = {}
+            for i in members:
+                for k, cls in enumerate(classes):
+                    if c[cls[0]][i] > level:
+                        break
+                else:
+                    k = len(classes)
+                    classes.append([])
+                classes[k].append(i)
+                where[i] = k
+            for i, j in pairs:
+                if (where[i] == where[j]) != (c[i][j] > level):
+                    raise RuntimeError(
+                        f"contacts are not an ultrametric at branches ({i}, {j}): "
+                        "internal bug"
+                    )
+            key = (levels[level], tuple(sorted(build(cls) for cls in classes)))
+        code[node] = codes.setdefault(key, len(codes))
+        return code[node]
+
+    build(list(range(len(betas))))
+    return code, paths
+
+
+def _first_matching(tree1, tree2) -> tuple[int, ...]:
+    """Lexicographically first isomorphism of two contact trees with equal
+    root codes, read off leaf by leaf.
+
+    Branch i goes to the smallest unused j whose root path runs through
+    nodes of the same codes as i's, each node pair already matched to
+    each other or both still free.  Such a partial matching always
+    extends to a full one, since matched nodes have equal codes and so
+    equal multisets of child codes.
+    """
+    (code1, paths1), (code2, paths2) = tree1, tree2
+    match1: dict[int, int] = {}
+    match2: dict[int, int] = {}
+    sigma: list[int] = []
+    free = list(range(len(paths2)))
+    for path1 in paths1:
+        for j in free:
+            path2 = paths2[j]
+            if len(path1) == len(path2) and all(
+                code1[a] == code2[b] and match1.get(a, b) == b and match2.get(b, a) == a
+                for a, b in zip(path1, path2)
+            ):
+                break
+        else:
+            raise RuntimeError("contact trees with equal codes failed to match: internal bug")
+        for a, b in zip(path1, path2):
+            match1[a], match2[b] = b, a
+        free.remove(j)
+        sigma.append(j)
+    return tuple(sigma)
+
+
+def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
     """Decide whether the two germs are Holder-distinguishable.
 
     A homeomorphism of germs maps branches to branches, so differing
     branch counts are certified distinct with the baseline threshold.
-    Otherwise every bijection of branches is tried; if one preserves the
-    characteristic data branchwise and every pairwise contact, the germs
-    are equivalent.  Failing that, the obstruction set is assembled from
-    the baseline, all cross-germ branch obstructions below 1, and all
-    contact obstructions below 1 over pairs of branch pairs.
+    Otherwise the germs are equivalent when some bijection of branches
+    preserves the characteristic data branchwise and every pairwise
+    contact, which by Zariski and Burau is topological equivalence.
+    Such a bijection exists iff the two contact trees have equal
+    canonical codes; the one returned is the lexicographically first.
+    Failing that, the obstruction set is assembled from the baseline,
+    all cross-germ branch obstructions below 1, and all contact
+    obstructions below 1 over pairs of branch pairs.
     """
     r1, r2 = len(germ1.branches), len(germ2.branches)
     if r1 != r2:
@@ -192,24 +288,17 @@ def classify(germ1: CurveGerm, germ2: CurveGerm, permutation_cap: int = 8) -> Ho
             f"branch counts differ ({r1} vs {r2}); no homeomorphism matches them",
         )
         return HolderVerdict(STATUS_DISTINCT, k0=BASELINE, obstructions=(baseline,))
-    if r1 > permutation_cap:
-        raise PermutationCapExceeded(
-            f"{r1} branches exceed the permutation cap {permutation_cap}; "
-            "raise the cap explicitly to search all bijections"
-        )
 
     data1 = [characteristic_data(b) for b in germ1.branches]
     data2 = [characteristic_data(b) for b in germ2.branches]
     rep1 = contact_report(germ1)
     rep2 = contact_report(germ2)
 
-    for sigma in itertools.permutations(range(r1)):
-        if all(data1[i].beta == data2[sigma[i]].beta for i in range(r1)) and all(
-            rep1.contact[i][j] == rep2.contact[sigma[i]][sigma[j]]
-            for i in range(r1)
-            for j in range(i + 1, r1)
-        ):
-            return HolderVerdict(STATUS_EQUIVALENT, matching=tuple(sigma))
+    codes: dict = {}
+    tree1 = _contact_tree(rep1.contact, [d.beta for d in data1], codes)
+    tree2 = _contact_tree(rep2.contact, [d.beta for d in data2], codes)
+    if tree1[0][0] == tree2[0][0]:
+        return HolderVerdict(STATUS_EQUIVALENT, matching=_first_matching(tree1, tree2))
 
     obstructions = [
         Obstruction(KIND_BASELINE, BASELINE, "always present; keeps the set non-empty")
@@ -225,19 +314,17 @@ def classify(germ1: CurveGerm, germ2: CurveGerm, permutation_cap: int = 8) -> Ho
                         f"branch {u} of the first germ vs branch {v} of the second",
                     )
                 )
-    for i in range(r1):
-        for j in range(i + 1, r1):
-            for u in range(r2):
-                for v in range(u + 1, r2):
-                    value = contact_obstruction(rep1.contact[i][j], rep2.contact[u][v])
-                    if value < 1:
-                        obstructions.append(
-                            Obstruction(
-                                KIND_CONTACT,
-                                value,
-                                f"contact of branches ({i},{j}) in the first germ vs "
-                                f"({u},{v}) in the second",
-                            )
-                        )
+    for i, j in itertools.combinations(range(r1), 2):
+        for u, v in itertools.combinations(range(r2), 2):
+            value = contact_obstruction(rep1.contact[i][j], rep2.contact[u][v])
+            if value < 1:
+                obstructions.append(
+                    Obstruction(
+                        KIND_CONTACT,
+                        value,
+                        f"contact of branches ({i},{j}) in the first germ vs "
+                        f"({u},{v}) in the second",
+                    )
+                )
     k0 = max(o.value for o in obstructions)
     return HolderVerdict(STATUS_DISTINCT, k0=k0, obstructions=tuple(obstructions))

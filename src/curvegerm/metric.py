@@ -190,6 +190,8 @@ def branch_gap_profile(
     and a common sweep of x-angles; the gap at each radius is the
     minimum over all point pairs at that radius.
     """
+    if angles < 1:
+        raise ValueError(f"angles must be at least 1, got {angles}")
     radii = np.asarray(radii, dtype=float)
     c1 = _branch_cloud(b1, radii, angles)
     c2 = _branch_cloud(b2, radii, angles)
@@ -202,7 +204,13 @@ def branch_gap_profile(
 
 def default_branch_grid(*branches, count: int = 16) -> np.ndarray:
     """Radius grid respecting the t-radius bound 0.5 for every branch."""
-    r_max = min(0.1, *(0.5**b.n for b in branches))
+    n = max(b.n for b in branches)
+    r_max = min(0.1, 0.5**n)
+    if r_max <= DEFAULT_MIN_RADIUS:
+        raise ValueError(
+            f"no default radius grid for multiplicity {n}: 0.5^{n} = {r_max:.3g} "
+            f"is not above the radius floor {DEFAULT_MIN_RADIUS:g}"
+        )
     return geometric_grid(r_max, max(r_max * 1e-3, DEFAULT_MIN_RADIUS), count)
 
 

@@ -179,7 +179,7 @@ def test_exit_code_3_on_insufficient_truncation(tmp_path, capsys):
     assert "stuck" in payload["message"]
 
 
-def test_exit_code_4_on_permutation_cap(tmp_path, capsys):
+def test_classify_nine_branches_exits_0(tmp_path, capsys):
     many = {
         "branches": [
             {
@@ -192,12 +192,9 @@ def test_exit_code_4_on_permutation_cap(tmp_path, capsys):
     }
     path = write(tmp_path, "many.json", many)
     code, payload = run_json(capsys, ["classify", path, path])
-    assert code == 4
-    assert payload["error_kind"] == "unsupported"
-
-    code, payload = run_json(capsys, ["classify", path, path, "--permutation-cap", "9"])
     assert code == 0
     assert payload["status"] == "equivalent_invariants"
+    assert payload["sigma"] == list(range(9))
 
 
 def test_estimate_lifts_germs_from_different_fields(tmp_path, capsys):
@@ -237,6 +234,30 @@ def test_exit_code_4_on_smooth_proof_arcs(tmp_path, capsys):
     code, payload = run_json(capsys, ["proof-arcs", path])
     assert code == 4
     assert payload["error_kind"] == "unsupported"
+
+
+def test_exit_code_4_on_zero_angles(tmp_path, capsys):
+    a = write(tmp_path, "a.json", AXIS)
+    b = write(tmp_path, "b.json", PARABOLA)
+    code, payload = run_json(capsys, ["estimate", a, b, "--angles", "0"])
+    assert code == 4
+    assert payload["error_kind"] == "unsupported"
+    assert payload["message"] == "angles must be at least 1, got 0"
+
+
+def test_exit_code_4_on_proof_arcs_beyond_the_radius_floor(tmp_path, capsys):
+    # 0.5^20 < 1e-6: no x-radius grid fits between the t-radius bound and the floor
+    deep = {
+        "branches": [
+            {"n": 20, "truncation": 21, "terms": [{"exp": 21, "coeff": {"rational": "1"}}]}
+        ]
+    }
+    code, payload = run_json(capsys, ["proof-arcs", write(tmp_path, "deep.json", deep)])
+    assert code == 4
+    assert payload["error_kind"] == "unsupported"
+    assert "multiplicity 20" in payload["message"]
+    assert "0.5^20" in payload["message"]
+    assert "floor 1e-06" in payload["message"]
 
 
 def test_json_output_is_deterministic(tmp_path, capsys):

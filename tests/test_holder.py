@@ -8,7 +8,6 @@ from curvegerm import (
     BASELINE,
     HolderVerdict,
     Obstruction,
-    PermutationCapExceeded,
     STATUS_DISTINCT,
     STATUS_EQUIVALENT,
     TruncationExceeded,
@@ -204,12 +203,25 @@ def test_normal_form_does_not_change_the_verdict(cusp25, cusp23, genus2, smooth_
         assert before.k0 == after.k0
 
 
-def test_permutation_cap():
+def test_classify_has_no_branch_cap():
     lines = [branch(1, [(1, k)], truncation=4) for k in range(1, 10)]
     g = germ(lines)
-    with pytest.raises(PermutationCapExceeded):
-        classify(g, g)
-    assert classify(g, g, permutation_cap=9).status == STATUS_EQUIVALENT
+    assert classify(g, g).matching == tuple(range(9))
+    # 50 smooth branches, contact(i, j) = min(i, j) + 1 for i != j, against
+    # the reverse order; branches 48 and 49 are interchangeable
+    chain = [branch(1, [(k, 1) for k in range(1, i + 1)], truncation=51) for i in range(50)]
+    verdict = classify(germ(chain), germ(chain[::-1]))
+    assert verdict.status == STATUS_EQUIVALENT
+    assert verdict.matching == tuple(range(49, 1, -1)) + (0, 1)
+
+
+def test_contact_tree_rejects_a_non_ultrametric_matrix():
+    from curvegerm.holder import _contact_tree
+
+    two, one = Fraction(2), Fraction(1)
+    contact = ((None, two, one), (two, None, two), (one, two, None))
+    with pytest.raises(RuntimeError, match="ultrametric"):
+        _contact_tree(contact, [(1,)] * 3, {})
 
 
 def test_verdict_consistency_is_enforced():

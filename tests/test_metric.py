@@ -6,6 +6,7 @@ import pytest
 from curvegerm import (
     ArcSample,
     branch,
+    branch_gap_profile,
     check_contact_distortion,
     contact,
     default_branch_grid,
@@ -201,6 +202,11 @@ def test_witness_arcs_slopes_match_the_characteristic_exponent():
     assert np.allclose(twisted.points[:, 1], -base.points[:, 1], rtol=1e-12)
     # the quarter turn rotates x by i
     assert np.allclose(quarter.points[:, 0], 1j * base.points[:, 0], rtol=1e-12)
+
+
+def test_branch_gap_profile_needs_an_angle():
+    with pytest.raises(ValueError, match="angles must be at least 1, got 0"):
+        branch_gap_profile(axis(), branch(1, [(2, 1)], truncation=8), [1e-2], angles=0)
 
 
 def test_witness_arcs_validation():
