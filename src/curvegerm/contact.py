@@ -17,24 +17,8 @@ from curvegerm.puiseux import (
     CurveGerm,
     PuiseuxBranch,
     TruncationExceeded,
-    conjugate,
-    difference_order,
+    difference_orders,
 )
-
-
-def _difference_orders(b1: PuiseuxBranch, b2: PuiseuxBranch) -> list:
-    """The one conjugate sweep of a branch pair.
-
-    One entry per conjugate of b2: the difference order against b1, or
-    the TruncationExceeded that blocked that conjugate.
-    """
-    orders: list = []
-    for k in range(b2.n):
-        try:
-            orders.append(difference_order(b1, conjugate(b2, k)))
-        except TruncationExceeded as exc:
-            orders.append(exc)
-    return orders
 
 
 def _coincidence_of(orders) -> Fraction:
@@ -74,7 +58,7 @@ def coincidence(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
     inconclusive, since the true maximum might then be hidden beyond the
     truncation.
     """
-    return _coincidence_of(_difference_orders(b1, b2))
+    return _coincidence_of(difference_orders(b1, b2))
 
 
 def contact(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
@@ -84,7 +68,7 @@ def contact(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
 
 def intersection_multiplicity(b1: PuiseuxBranch, b2: PuiseuxBranch) -> int:
     """Local intersection number of two distinct branches at the origin."""
-    return _intersection_of(b1.n, _difference_orders(b1, b2))
+    return _intersection_of(b1.n, difference_orders(b1, b2))
 
 
 @dataclass(frozen=True)
@@ -135,7 +119,7 @@ def contact_report(g: CurveGerm) -> ContactReport:
     inter: list[list[int | None]] = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(i + 1, r):
-            orders = _difference_orders(g.branches[i], g.branches[j])
+            orders = difference_orders(g.branches[i], g.branches[j])
             try:
                 cont[i][j] = cont[j][i] = _coincidence_of(orders)
             except TruncationExceeded as exc:

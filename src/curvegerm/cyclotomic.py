@@ -8,6 +8,11 @@ the primitive that every order-of-vanishing computation in the rest of
 the library leans on.  Multiplicative inverses are never needed
 downstream and are not provided.
 
+All reduction reads one cached int table per order, the power basis
+(Phi_N is monic with integer coefficients).  Multiplying by zeta^j is a
+rotation, :meth:`CyclotomicNumber.rotate`: coordinate c_i moves to row
+(i + j) mod N of the table, a unit vector when that index is below phi(N).
+
 Integer polynomials appear only as plumbing and are represented as
 tuples of coefficients, constant term first, so (-1, 0, 1) is x^2 - 1.
 """
@@ -16,35 +21,34 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from fractions import Fraction
 
 #: Exact scalar type used throughout the library.
 Rational = Fraction
 
+_ZERO = Fraction(0)
 
-def _poly_divmod(num, den):
-    """Divide integer coefficient tuples; ``den`` must be monic."""
-    num = list(num)
-    deg_d = len(den) - 1
-    quot = [0] * (len(num) - deg_d)
-    for shift in range(len(num) - deg_d - 1, -1, -1):
-        c = num[shift + deg_d]
-        if c:
-            quot[shift] = c
-            for i, d in enumerate(den):
-                num[shift + i] -= c * d
-    while num and num[-1] == 0:
-        num.pop()
-    return tuple(quot), tuple(num)
+
+def _exact_quotient(num, den):
+    """Divide integer coefficient tuples exactly; ``den`` must be monic."""
+    num, deg = list(num), len(den) - 1
+    quot = [0] * (len(num) - deg)
+    for shift in range(len(quot) - 1, -1, -1):
+        quot[shift] = c = num[shift + deg]
+        for i, d in enumerate(den):
+            num[shift + i] -= c * d
+    assert not any(num), "cyclotomic division must be exact"
+    return tuple(quot)
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """Return the cyclotomic polynomial of the given order.
 
-    Computed by dividing x^N - 1 by the cyclotomic polynomials of all
-    proper divisors of N.  Coefficients are returned constant term
-    first.
+    With p the least prime factor of N = p*m, Phi_N(x) is Phi_m(x^p)
+    when p divides m and Phi_m(x^p) / Phi_m(x) otherwise.  Coefficients
+    are returned constant term first.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -55,12 +59,13 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """
     if order < 1:
         raise ValueError("order must be a positive integer")
-    poly = (-1,) + (0,) * (order - 1) + (1,)
-    for d in range(1, order):
-        if order % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            assert not rem, "cyclotomic division must be exact"
-    return poly
+    if order == 1:
+        return (-1, 1)
+    p = next(q for q in range(2, order + 1) if order % q == 0)
+    inner = cyclotomic_polynomial(order // p)
+    poly = [0] * ((len(inner) - 1) * p + 1)
+    poly[::p] = inner
+    return tuple(poly) if (order // p) % p == 0 else _exact_quotient(poly, inner)
 
 
 @functools.lru_cache(maxsize=None)
@@ -70,25 +75,44 @@ def field_degree(order: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _power_basis(order: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Reduced coordinates of zeta^k for 0 <= k <= max(N-1, 2*phi(N)-2).
+def _power_basis(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Reduced coordinates of zeta^k for 0 <= k < N, as sparse int rows.
 
-    The table is long enough to reduce any product of two reduced
-    elements and to embed any power zeta^k with 0 <= k < N.
+    Row k lists the (index, int) pairs of the nonzero coordinates of
+    zeta^k; rows below phi(N) are unit vectors.  The one table behind
+    products, lifts, rotations and :func:`zeta`.
     """
     phi_poly = cyclotomic_polynomial(order)
     deg = len(phi_poly) - 1
-    top = tuple(Fraction(-c) for c in phi_poly[:-1])
-    rows = [
-        tuple(Fraction(1 if i == j else 0) for j in range(deg))
-        for i in range(deg)
-    ]
-    for _ in range(deg, max(order, 2 * deg - 1)):
-        prev = rows[-1]
-        carry = prev[-1]
-        shifted = (Fraction(0),) + prev[:-1]
-        rows.append(tuple(s + carry * t for s, t in zip(shifted, top)))
+    top = [(i, -c) for i, c in enumerate(phi_poly[:-1]) if c]
+    rows = [((i, 1),) for i in range(deg)]
+    for _ in range(deg, order):
+        shifted = {i + 1: c for i, c in rows[-1]}
+        carry = shifted.pop(deg, 0)
+        for i, t in top:
+            shifted[i] = shifted.get(i, 0) + carry * t
+        rows.append(tuple((i, c) for i, c in shifted.items() if c))
     return tuple(rows)
+
+
+def _reduced(order: int, terms) -> CyclotomicNumber:
+    """Sum of c * zeta^k over the (k, c) pairs, in ints over the c's common denominator."""
+    terms = [(k % order, c) for k, c in terms if c]
+    den = math.lcm(*(c.denominator for _, c in terms))
+    basis = _power_basis(order)
+    deg = field_degree(order)
+    out = [0] * deg
+    for k, c in terms:
+        c = c.numerator * (den // c.denominator)
+        if k < deg:
+            out[k] += c
+        else:
+            for i, v in basis[k]:
+                out[i] += c * v
+    number = object.__new__(CyclotomicNumber)  # coordinates already reduced
+    number.order = order
+    number.coeffs = tuple(Fraction(x, den) if x else _ZERO for x in out)
+    return number
 
 
 class CyclotomicNumber:
@@ -118,8 +142,7 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, order: int, value) -> CyclotomicNumber:
-        deg = field_degree(order)
-        return cls(order, (Fraction(value),) + (Fraction(0),) * (deg - 1))
+        return cls(order, (value,) + (0,) * (field_degree(order) - 1))
 
     @classmethod
     def zero(cls, order: int) -> CyclotomicNumber:
@@ -152,9 +175,7 @@ class CyclotomicNumber:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return CyclotomicNumber(
-            self.order, (a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return CyclotomicNumber(self.order, (a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -162,9 +183,7 @@ class CyclotomicNumber:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return CyclotomicNumber(
-            self.order, (a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return CyclotomicNumber(self.order, (a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         other = self._coerced(other)
@@ -181,28 +200,17 @@ class CyclotomicNumber:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        deg = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        basis = _power_basis(self.order)
-        out = list(prod[:deg])
-        for k in range(deg, len(prod)):
-            c = prod[k]
-            if c:
-                out = [o + c * r for o, r in zip(out, basis[k])]
-        return CyclotomicNumber(self.order, out)
+        pairs = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        return _reduced(self.order, (
+            (i + j, a * b) for i, a in enumerate(self.coeffs) if a for j, b in pairs
+        ))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative powers are not supported (no inverses)")
-        result = CyclotomicNumber.one(self.order)
-        base = self
+        result, base = CyclotomicNumber.one(self.order), self
         while exponent:
             if exponent & 1:
                 result = result * base
@@ -237,14 +245,11 @@ class CyclotomicNumber:
                 f"cannot lift from order {self.order} to non-multiple {order}"
             )
         step = order // self.order
-        basis = _power_basis(order)
-        deg = field_degree(order)
-        out = [Fraction(0)] * deg
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = basis[(j * step) % order]
-                out = [o + c * r for o, r in zip(out, row)]
-        return CyclotomicNumber(order, out)
+        return _reduced(order, ((j * step, c) for j, c in enumerate(self.coeffs)))
+
+    def rotate(self, power: int) -> CyclotomicNumber:
+        """The product zeta^power * self, formed without a general multiplication."""
+        return _reduced(self.order, ((i + power, c) for i, c in enumerate(self.coeffs)))
 
     def __str__(self):
         parts = []
@@ -271,5 +276,4 @@ def zeta(order: int, power: int = 1) -> CyclotomicNumber:
     >>> zeta(6, 3) == -1
     True
     """
-    row = _power_basis(order)[power % order]
-    return CyclotomicNumber(order, row)
+    return _reduced(order, ((power, 1),))

@@ -136,20 +136,19 @@ def conjugate(b: PuiseuxBranch, k: int) -> PuiseuxBranch:
     if k == 0:
         return b
     step = b.field_order // b.n
-    terms = tuple(
-        (m, c * zeta(b.field_order, k * m * step)) for m, c in b.terms
-    )
+    terms = tuple((m, c.rotate(k * m * step)) for m, c in b.terms)
     return PuiseuxBranch(b.n, terms, b.truncation, b.field_order)
 
 
-def difference_order(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
-    """Order in x at which the y-series of the two parametrizations first differ.
+def difference_order(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0) -> Fraction:
+    """Order in x at which b1 and the k-th conjugate of b2 first differ.
 
     Both series are rescaled to the common parameter s with x = s^lcm(n1,n2)
     using integer exponent arithmetic only; the result is the smallest
-    differing s-exponent divided by the lcm.  Raises TruncationExceeded,
-    carrying the lower bound (limit+1)/lcm, when every comparable term
-    agrees.
+    differing s-exponent divided by the lcm.  Only a coefficient about to
+    be compared is rotated; the conjugate is never built.  Raises
+    TruncationExceeded, carrying the lower bound (limit+1)/lcm, when
+    every comparable term agrees.
     """
     if b1.field_order != b2.field_order:
         raise ValueError(
@@ -158,6 +157,7 @@ def difference_order(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
         )
     n = math.lcm(b1.n, b2.n)
     f1, f2 = n // b1.n, n // b2.n
+    step = (k % b2.n) * (b2.field_order // b2.n)
     s1 = {m * f1: c for m, c in b1.terms}
     s2 = {m * f2: c for m, c in b2.terms}
     limit = min(b1.truncation * f1, b2.truncation * f2)
@@ -165,12 +165,26 @@ def difference_order(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
         if e > limit:
             break
         a, b = s1.get(e), s2.get(e)
-        if a is None or b is None or not (a - b).is_zero():
+        if a is None or b is None:
+            return Fraction(e, n)
+        if a != (b.rotate(e // f2 * step) if step else b):
             return Fraction(e, n)
     raise TruncationExceeded(
         f"series agree at every known exponent up to x^({limit}/{n})",
         lower_bound=Fraction(limit + 1, n),
     )
+
+
+def difference_orders(b1: PuiseuxBranch, b2: PuiseuxBranch) -> list:
+    """The conjugate sweep of a pair: ``difference_order(b1, b2, k)`` for each
+    conjugate k of b2, or the TruncationExceeded that blocked it."""
+    orders: list = []
+    for k in range(b2.n):
+        try:
+            orders.append(difference_order(b1, b2, k))
+        except TruncationExceeded as exc:
+            orders.append(exc)
+    return orders
 
 
 @dataclass(frozen=True)
@@ -195,16 +209,13 @@ class CurveGerm:
                 )
         for i in range(len(self.branches)):
             for j in range(i + 1, len(self.branches)):
-                other = self.branches[j]
-                for k in range(other.n):
-                    try:
-                        difference_order(self.branches[i], conjugate(other, k))
-                    except TruncationExceeded:
+                for k, v in enumerate(difference_orders(self.branches[i], self.branches[j])):
+                    if isinstance(v, TruncationExceeded):
                         raise GermValidationError(
                             f"branches {i} and {j} cannot be told apart "
                             f"(conjugation {k} agrees within the known terms): "
                             "duplicate branch or insufficient truncation"
-                        ) from None
+                        )
 
     @property
     def field_order(self) -> int:

@@ -179,3 +179,49 @@ def test_wrong_coordinate_length_is_rejected():
 def test_negative_powers_are_rejected():
     with pytest.raises(ValueError):
         zeta(5) ** -1
+
+
+def test_cyclotomic_polynomials_factor_x_to_the_n_minus_one():
+    # x^N - 1 is the product of Phi_d over the divisors d of N.
+    for order in range(1, 181):
+        product = (1,)
+        for d in range(1, order + 1):
+            if order % d == 0:
+                product = poly_mul(product, cyclotomic_polynomial(d))
+        assert product == (-1,) + (0,) * (order - 1) + (1,), order
+
+
+def test_power_basis_is_one_integer_table():
+    from curvegerm.cyclotomic import _power_basis
+
+    for order in (1, 2, 12, 30, 420):
+        rows = _power_basis(order)
+        assert len(rows) == order
+        for k, row in enumerate(rows):
+            assert all(type(i) is int and type(v) is int and v for i, v in row)
+            coords = [0] * field_degree(order)
+            for i, v in row:
+                coords[i] = v
+            assert CyclotomicNumber(order, coords) == zeta(order, k)
+            w = zeta(order).to_complex() ** k
+            assert abs(CyclotomicNumber(order, coords).to_complex() - w) < 1e-9
+
+
+def test_rotation_is_multiplication_by_a_root_of_unity():
+    rng = random.Random(4242)
+    for order in (1, 2, 12, 210, 420):
+        deg = field_degree(order)
+        support = {0, deg - 1, *rng.sample(range(deg), min(deg, 4))}
+        spread = CyclotomicNumber(
+            order,
+            [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) if i in support else 0
+             for i in range(deg)],
+        )
+        for j in range(-order, 2 * order):
+            rotated = spread.rotate(j)
+            assert rotated == spread * zeta(order, j), (order, j)
+            w = zeta(order, j).to_complex()
+            assert abs(rotated.to_complex() - w * spread.to_complex()) < 1e-9
+        dense = _random_element(rng, order)
+        for j in rng.sample(range(-order, 2 * order), min(3 * order, 12)):
+            assert dense.rotate(j) == dense * zeta(order, j), (order, j)

@@ -6,18 +6,21 @@ import pytest
 
 from curvegerm import (
     CurveGerm,
+    CyclotomicNumber,
     GermValidationError,
     PuiseuxBranch,
     TruncationExceeded,
     branch,
     conjugate,
     difference_order,
+    field_degree,
     germ,
     germ_from_dict,
     germ_to_dict,
     parse_germ,
     zeta,
 )
+from curvegerm.puiseux import difference_orders
 
 
 def test_parse_single_cusp():
@@ -273,3 +276,75 @@ def test_serialization_round_trips_exactly():
     )
     again = germ_from_dict(germ_to_dict(g))
     assert again == g
+
+
+def _dense_coefficient(rng, order):
+    while True:
+        c = CyclotomicNumber(
+            order,
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.8 else 0
+             for _ in range(field_degree(order))],
+        )
+        if not c.is_zero():
+            return c
+
+
+def _kernel_pair(rng):
+    """A branch pair in Q(zeta_N), N in {12, 120, 210, 420} times the
+    multiplicities, whose second branch is often a perturbed conjugate of
+    the first, so comparisons agree for several exponents or run into
+    the truncation."""
+    base = rng.choice((12, 120, 210, 420))
+    n1 = rng.randint(1, 9)
+    scale = rng.choice((1, 1, 2, 3))
+    n2 = n1 * scale if n1 * scale <= 9 else rng.randint(1, 9)
+    field = math.lcm(base, n1, n2)
+    exps = sorted(rng.sample(range(n1, 4 * n1 + 6), rng.randint(1, 4)))
+    terms1 = [(m, _dense_coefficient(rng, base).lift(field)) for m in exps]
+    b1 = PuiseuxBranch(n1, tuple(terms1), exps[-1] + rng.randint(0, 3), field)
+    if n2 == n1 * scale and rng.random() < 0.8:
+        j = rng.randrange(n2)
+        twist = field // n2 * j
+        terms2 = {m * scale: c * zeta(field, -twist * m * scale) for m, c in terms1}
+        if rng.random() < 0.5:
+            m = rng.choice(sorted(terms2))
+            terms2[m] = terms2[m] + _dense_coefficient(rng, base).lift(field)
+            if terms2[m].is_zero():
+                del terms2[m]
+        if rng.random() < 0.3:
+            terms2[(exps[-1] + 1) * scale] = _dense_coefficient(rng, base).lift(field)
+        top = max(terms2, default=n2)
+        truncation2 = top + rng.randint(0, 2 * scale)
+    else:
+        exps2 = sorted(rng.sample(range(n2, 4 * n2 + 6), rng.randint(1, 4)))
+        terms2 = {m: _dense_coefficient(rng, base).lift(field) for m in exps2}
+        truncation2 = exps2[-1] + rng.randint(0, 3)
+    b2 = PuiseuxBranch(n2, tuple(sorted(terms2.items())), truncation2, field)
+    return b1, b2
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TruncationExceeded as exc:
+        return ("blocked", str(exc), exc.lower_bound)
+
+
+def test_difference_order_never_builds_the_conjugate_it_compares_against():
+    # Differential: the lazy comparison against conjugate k equals the
+    # comparison against the conjugate built term by term.
+    rng = random.Random(31337)
+    blocked = deep = 0
+    for _ in range(150):
+        b1, b2 = _kernel_pair(rng)
+        sweep = [_outcome(difference_order, b1, b2, k) for k in range(b2.n)]
+        for k in range(b2.n):
+            assert sweep[k] == _outcome(difference_order, b1, conjugate(b2, k)), (b1, b2, k)
+        assert [
+            v if isinstance(v, Fraction) else ("blocked", str(v), v.lower_bound)
+            for v in difference_orders(b1, b2)
+        ] == sweep
+        blocked += sum(isinstance(v, tuple) for v in sweep)
+        first = min(b1.exponents[0] / b1.n, b2.exponents[0] / b2.n if b2.terms else 99)
+        deep += sum(isinstance(v, Fraction) and v > first for v in sweep)
+    assert blocked >= 10 and deep >= 10, (blocked, deep)
