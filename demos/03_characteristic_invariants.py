@@ -14,7 +14,6 @@ from curvegerm import (
     characteristic_data,
     lipschitz_normal_form,
     load_germ,
-    multiplicity,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -23,7 +22,7 @@ DATA = Path(__file__).parent / "data"
 def report(label, b):
     data = characteristic_data(b)
     print(f"{label}")
-    print(f"  multiplicity: {multiplicity(b)}")
+    print(f"  multiplicity: {b.n}")
     print(f"  beta:  {data.beta}")
     print(f"  e:     {data.e}")
     print(f"  pairs: {data.pairs}   genus: {data.genus}")

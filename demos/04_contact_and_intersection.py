@@ -13,9 +13,9 @@ from pathlib import Path
 
 from curvegerm import (
     branch,
-    coincidence,
     contact,
     contact_report,
+    difference_order,
     germ,
     intersection_multiplicity,
     load_germ,
@@ -39,7 +39,8 @@ print("== the conjugate sweep matters ==")
 b1 = branch(2, [(3, 1)], truncation=12)
 b2 = branch(2, [(3, -1), (4, 1)], truncation=12)
 print("x^(3/2) vs -x^(3/2) + x^2")
-print("  order against conjugate 0:", coincidence(b1, b2))
+print("  order against conjugate 0:", difference_order(b1, b2, 0))
+print("  contact:                  ", contact(b1, b2))
 print("  (the k=1 conjugate of the second branch matches the leading term,")
 print("   so the contact is 2 rather than 3/2)")
 

@@ -13,16 +13,13 @@ cross-checks the exact results.
 
 from curvegerm.contact import (
     ContactReport,
-    coincidence,
     contact,
     contact_report,
     intersection_multiplicity,
 )
 from curvegerm.cyclotomic import (
     CyclotomicNumber,
-    Rational,
     cyclotomic_polynomial,
-    field_degree,
     zeta,
 )
 from curvegerm.holder import (
@@ -40,7 +37,6 @@ from curvegerm.invariants import (
     CharacteristicData,
     characteristic_data,
     lipschitz_normal_form,
-    multiplicity,
 )
 from curvegerm.metric import (
     ArcSample,
@@ -54,7 +50,6 @@ from curvegerm.metric import (
     gap_function,
     gap_profile,
     geometric_grid,
-    merge_samples,
     radial_holder_map,
     sample_branch_arc,
     witness_arcs,
@@ -90,7 +85,6 @@ __all__ = [
     "HolderVerdict",
     "Obstruction",
     "PuiseuxBranch",
-    "Rational",
     "STATUS_DISTINCT",
     "STATUS_EQUIVALENT",
     "TruncationExceeded",
@@ -100,7 +94,6 @@ __all__ = [
     "characteristic_data",
     "check_contact_distortion",
     "classify",
-    "coincidence",
     "conjugate",
     "contact",
     "contact_obstruction",
@@ -110,7 +103,6 @@ __all__ = [
     "difference_order",
     "estimate_branch_contact",
     "estimate_contact",
-    "field_degree",
     "gap_function",
     "gap_profile",
     "geometric_grid",
@@ -121,8 +113,6 @@ __all__ = [
     "lift_branch",
     "lipschitz_normal_form",
     "load_germ",
-    "merge_samples",
-    "multiplicity",
     "pair_obstruction",
     "parse_germ",
     "radial_holder_map",

@@ -131,8 +131,6 @@ def _cmd_estimate(args) -> dict:
 def _cmd_check_prop1(args) -> dict:
     b1 = _single_branch(load_germ(args.file_a), args.file_a)
     b2 = _single_branch(load_germ(args.file_b), args.file_b)
-    if args.beta < 1:
-        raise UnsupportedRequest("--beta must be at least 1")
     grid = args.grid if args.grid is not None else geometric_grid(1e-1, 1e-3, 16)
     arc1 = sample_branch_arc(b1, 0, 0.0, np.asarray(grid) ** (1.0 / b1.n))
     arc2 = sample_branch_arc(b2, 0, 0.0, np.asarray(grid) ** (1.0 / b2.n))

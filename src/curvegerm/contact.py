@@ -5,7 +5,9 @@ exponent: the largest order in x at which some pair of Newton-Puiseux
 parametrizations agrees, maximized over conjugates.  The intersection
 multiplicity is n1 times the sum of the difference orders against all n2
 conjugates of the second branch; it is always a positive integer, and
-integrality is asserted so truncation bugs fail loudly.
+integrality is asserted so truncation bugs fail loudly.  Both numbers
+come from one conjugate sweep; for a germ, the report reads the sweep
+that validated it.
 """
 
 from __future__ import annotations
@@ -19,22 +21,6 @@ from curvegerm.puiseux import (
     TruncationExceeded,
     difference_orders,
 )
-
-
-def _coincidence_of(orders) -> Fraction:
-    """Contact read off one sweep: the largest difference order."""
-    values = [v for v in orders if isinstance(v, Fraction)]
-    blocked = [
-        (k, v.lower_bound) for k, v in enumerate(orders) if isinstance(v, TruncationExceeded)
-    ]
-    if blocked:
-        bounds = [lb for _, lb in blocked if lb is not None]
-        which = ", ".join(str(k) for k, _ in blocked)
-        raise TruncationExceeded(
-            f"contact inconclusive: conjugation(s) {which} agree within the known terms",
-            lower_bound=max(bounds + values) if bounds else None,
-        )
-    return max(values)
 
 
 def _intersection_of(n1: int, orders) -> int:
@@ -51,19 +37,27 @@ def _intersection_of(n1: int, orders) -> int:
     return int(total)
 
 
-def coincidence(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
-    """Maximal order of agreement of the two branches over all conjugates.
+def contact(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
+    """Contact exponent of two distinct branches: their maximal order of
+    agreement over all conjugates.
 
     Raises TruncationExceeded when any conjugate comparison is
     inconclusive, since the true maximum might then be hidden beyond the
     truncation.
     """
-    return _coincidence_of(difference_orders(b1, b2))
-
-
-def contact(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
-    """Contact exponent of two distinct branches (their coincidence)."""
-    return coincidence(b1, b2)
+    orders = difference_orders(b1, b2)
+    values = [v for v in orders if isinstance(v, Fraction)]
+    blocked = [
+        (k, v.lower_bound) for k, v in enumerate(orders) if isinstance(v, TruncationExceeded)
+    ]
+    if blocked:
+        bounds = [lb for _, lb in blocked if lb is not None]
+        which = ", ".join(str(k) for k, _ in blocked)
+        raise TruncationExceeded(
+            f"contact inconclusive: conjugation(s) {which} agree within the known terms",
+            lower_bound=max(bounds + values) if bounds else None,
+        )
+    return max(values)
 
 
 def intersection_multiplicity(b1: PuiseuxBranch, b2: PuiseuxBranch) -> int:
@@ -113,20 +107,17 @@ class ContactReport:
 
 
 def contact_report(g: CurveGerm) -> ContactReport:
-    """Fill both pairwise matrices for all distinct branch pairs of the germ."""
+    """Fill both pairwise matrices for all distinct branch pairs of the germ.
+
+    Reads the conjugate sweeps that validated the germ; every entry there
+    is exact, so no pair is compared again.
+    """
     r = len(g.branches)
     cont: list[list[Fraction | None]] = [[None] * r for _ in range(r)]
     inter: list[list[int | None]] = [[None] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            orders = difference_orders(g.branches[i], g.branches[j])
-            try:
-                cont[i][j] = cont[j][i] = _coincidence_of(orders)
-            except TruncationExceeded as exc:
-                raise TruncationExceeded(
-                    f"branch pair ({i}, {j}): {exc}", lower_bound=exc.lower_bound
-                ) from None
-            inter[i][j] = inter[j][i] = _intersection_of(g.branches[i].n, orders)
+    for (i, j), orders in g._sweeps.items():
+        cont[i][j] = cont[j][i] = max(orders)
+        inter[i][j] = inter[j][i] = _intersection_of(g.branches[i].n, orders)
     return ContactReport(
         r,
         tuple(tuple(row) for row in cont),

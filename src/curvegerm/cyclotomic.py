@@ -24,9 +24,6 @@ import functools
 import math
 from fractions import Fraction
 
-#: Exact scalar type used throughout the library.
-Rational = Fraction
-
 _ZERO = Fraction(0)
 
 

@@ -99,8 +99,3 @@ def lipschitz_normal_form(b: PuiseuxBranch) -> PuiseuxBranch:
     terms = tuple((m, c) for m, c in b.terms if m in keep)
     truncation = data.beta[-1] if data.genus else b.truncation
     return PuiseuxBranch(b.n, terms, truncation, b.field_order)
-
-
-def multiplicity(b: PuiseuxBranch) -> int:
-    """The multiplicity of the branch, i.e. the order of its x-coordinate."""
-    return b.n

@@ -47,32 +47,15 @@ class ArcSample:
     """Sampled points of one arc in C^2 with their Euclidean norms."""
 
     points: np.ndarray
-    radii: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    radii: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=complex).reshape(-1, 2)
-        if self.radii is None:
-            self.radii = np.sqrt((np.abs(self.points) ** 2).sum(axis=1))
-        else:
-            self.radii = np.asarray(self.radii, dtype=float)
-            if self.radii.shape != (len(self.points),):
-                raise ValueError("radii must match the point list")
+        self.radii = np.sqrt((np.abs(self.points) ** 2).sum(axis=1))
 
     def __len__(self):
         return len(self.points)
-
-
-def merge_samples(samples) -> ArcSample:
-    """Union of several arc samples as a single point cloud."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("nothing to merge")
-    return ArcSample(
-        np.concatenate([s.points for s in samples]),
-        np.concatenate([s.radii for s in samples]),
-        {"merged_from": len(samples)},
-    )
 
 
 def _validate_t_grid(grid: np.ndarray):
@@ -235,8 +218,8 @@ def estimate_branch_contact(
 
 def radial_holder_map(a: ArcSample, exponent: float) -> ArcSample:
     """Apply p -> p * |p|**(exponent-1), a bi-(1/exponent)-Holder model map."""
-    if exponent < 1:
-        raise ValueError("the radial exponent must be at least 1")
+    if not (math.isfinite(exponent) and exponent >= 1):
+        raise ValueError(f"the radial exponent must be finite and at least 1, got {exponent}")
     scale = a.radii ** (exponent - 1.0)
     meta = dict(a.meta)
     meta["radial_exponent"] = exponent

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from curvegerm.cyclotomic import CyclotomicNumber, zeta
@@ -193,9 +193,14 @@ class CurveGerm:
 
     Distinctness means no branch is a Newton-Puiseux conjugate of
     another: for every conjugation some pair of known terms must differ.
+    The sweep that proves it is kept: ``_sweeps[i, j]`` holds
+    ``difference_orders(branches[i], branches[j])`` for i < j, all exact,
+    and the contact report reads it.  It is derived from the branches, so
+    it stays out of ``__init__``, ``repr``, ``==`` and ``hash``.
     """
 
     branches: tuple[PuiseuxBranch, ...]
+    _sweeps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(self.branches))
@@ -207,15 +212,19 @@ class CurveGerm:
                 raise GermValidationError(
                     f"branch {i} has field order {b.field_order}, expected {order}"
                 )
+        sweeps = {}
         for i in range(len(self.branches)):
             for j in range(i + 1, len(self.branches)):
-                for k, v in enumerate(difference_orders(self.branches[i], self.branches[j])):
+                orders = difference_orders(self.branches[i], self.branches[j])
+                for k, v in enumerate(orders):
                     if isinstance(v, TruncationExceeded):
                         raise GermValidationError(
                             f"branches {i} and {j} cannot be told apart "
                             f"(conjugation {k} agrees within the known terms): "
                             "duplicate branch or insufficient truncation"
                         )
+                sweeps[i, j] = tuple(orders)
+        object.__setattr__(self, "_sweeps", sweeps)
 
     @property
     def field_order(self) -> int:

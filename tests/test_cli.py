@@ -221,6 +221,16 @@ def test_exit_code_4_on_out_of_range_grid(tmp_path, capsys):
     assert payload["error_kind"] == "unsupported"
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_exit_code_4_on_non_finite_beta(tmp_path, capsys, beta):
+    a = write(tmp_path, "a.json", AXIS)
+    b = write(tmp_path, "b.json", PARABOLA)
+    code, payload = run_json(capsys, ["check-prop1", a, b, "--beta", beta])
+    assert code == 4
+    assert payload["error_kind"] == "unsupported"
+    assert f"got {beta}" in payload["message"]
+
+
 def test_exit_code_4_on_multi_branch_estimate(tmp_path, capsys):
     a = write(tmp_path, "a.json", AXIS_AND_PARABOLA)
     b = write(tmp_path, "b.json", AXIS)

@@ -6,14 +6,18 @@ import pytest
 from curvegerm import (
     ContactReport,
     CyclotomicNumber,
+    GermValidationError,
     TruncationExceeded,
     branch,
-    coincidence,
     conjugate,
     contact,
     contact_report,
+    difference_order,
     germ,
+    germ_from_dict,
+    germ_to_dict,
     intersection_multiplicity,
+    zeta,
 )
 
 # --- exact series substitution oracle --------------------------------------
@@ -60,7 +64,7 @@ def sqrt_series(k):
 
 def test_coincidence_smooth_parabola():
     axis = branch(1, [], truncation=32)
-    assert coincidence(axis, branch(1, [(2, 1)], truncation=32)) == 2
+    assert contact(axis, branch(1, [(2, 1)], truncation=32)) == 2
 
 
 def test_coincidence_maximizes_over_conjugates():
@@ -68,26 +72,28 @@ def test_coincidence_maximizes_over_conjugates():
     b2 = branch(2, [(3, -1), (4, 1)], truncation=12)
     # the k=1 conjugate of b2 matches the x^(3/2) term of b1, leaving the
     # first difference at x^2
-    assert coincidence(b1, b2) == 2
+    assert contact(b1, b2) == 2
 
 
 def test_coincidence_transverse_smooth_and_cusp():
     b1 = branch(2, [(3, 1)], truncation=12, field_order=2)
     b2 = branch(1, [(1, 1)], truncation=12, field_order=2)
-    assert coincidence(b1, b2) == 1
+    assert contact(b1, b2) == 1
 
 
 def test_contact_is_the_coincidence_exponent():
     b1 = branch(2, [(3, 1)], truncation=12)
     b2 = branch(2, [(3, -1), (4, 1)], truncation=12)
-    assert contact(b1, b2) == coincidence(b1, b2) == 2
+    orders = [difference_order(b1, b2, k) for k in range(b2.n)]
+    assert orders == [Fraction(3, 2), 2]
+    assert contact(b1, b2) == max(orders) == 2
 
 
 def test_coincidence_propagates_truncation():
     b1 = branch(2, [(3, 1)], truncation=3)
     b2 = branch(2, [(3, 1), (4, 1)], truncation=12)
     with pytest.raises(TruncationExceeded, match="conjugation"):
-        coincidence(b1, b2)
+        contact(b1, b2)
 
 
 def test_intersection_multiplicity_examples():
@@ -182,18 +188,18 @@ def test_invariants_are_symmetric_and_conjugation_invariant():
     while usable < 10:
         b1, b2 = _random_branch(rng), _random_branch(rng)
         try:
-            c12 = coincidence(b1, b2)
+            c12 = contact(b1, b2)
             m12 = intersection_multiplicity(b1, b2)
         except TruncationExceeded:
             continue
         assert c12 >= 1
-        assert c12 == coincidence(b2, b1)
+        assert c12 == contact(b2, b1)
         assert m12 == intersection_multiplicity(b2, b1)
         for k in range(b1.n):
-            assert coincidence(conjugate(b1, k), b2) == c12
+            assert contact(conjugate(b1, k), b2) == c12
             assert intersection_multiplicity(conjugate(b1, k), b2) == m12
         for k in range(b2.n):
-            assert coincidence(b1, conjugate(b2, k)) == c12
+            assert contact(b1, conjugate(b2, k)) == c12
             assert intersection_multiplicity(b1, conjugate(b2, k)) == m12
         usable += 1
 
@@ -220,12 +226,73 @@ def test_contact_report_axis_and_cusp():
     assert report.intersection[0][1] == 3
 
 
-def test_under_truncated_pairs_fail_before_a_report_is_attempted():
-    # Germ validation exercises the same conjugate comparisons that the
-    # report needs, so an inconclusive pair is rejected at construction
-    # with the pair named.
-    from curvegerm import GermValidationError
+def _random_coefficient(rng):
+    """q * zeta_k^j with k in {1, 3, 4, 5}, in Q(zeta_60), which holds every
+    conjugating root for multiplicities up to 6."""
+    order = rng.choice((1, 3, 4, 5))
+    c = Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3)) * zeta(order, rng.randrange(order))
+    return c.lift(60)
 
+
+def _random_germ_branches(rng):
+    """2-6 branches of multiplicity 1-6 with cyclotomic coefficients; about
+    half continue an earlier branch (exponents rescaled, conjugated, then
+    changed in one term), so contacts go beyond the leading term."""
+    branches = []
+    for _ in range(rng.randint(2, 6)):
+        n = rng.randint(1, 6)
+        parents = [b for b in branches if n % b.n == 0]
+        if parents and rng.random() < 0.5:
+            parent = conjugate(rng.choice(parents), rng.randrange(6))
+            scale = n // parent.n
+            terms = {m * scale: c for m, c in parent.terms}
+            m = rng.randint(n, (parent.truncation + 1) * scale)
+            terms[m] = terms.get(m, 0) + _random_coefficient(rng)
+            terms = {e: c for e, c in terms.items() if not c.is_zero()}
+            truncation = max([m, *terms]) + rng.randint(0, 2)
+        else:
+            exps = rng.sample(range(n, 3 * n + 6), rng.randint(1, 3))
+            terms = {m: _random_coefficient(rng) for m in exps}
+            truncation = max(exps) + rng.randint(0, 3)
+        branches.append(branch(n, sorted(terms.items()), truncation=truncation))
+    return branches
+
+
+def test_report_reads_the_validation_sweep():
+    # Differential: the report, read from the sweeps kept at construction,
+    # equals contact and intersection number computed afresh per pair; the
+    # kept sweeps change neither equality, hashing, repr nor the file form.
+    rng = random.Random(2718)
+    germs = deep = 0
+    while germs < 25:
+        branches = _random_germ_branches(rng)
+        try:
+            g = germ(branches)
+        except GermValidationError:
+            continue
+        report = contact_report(g)
+        r = len(g.branches)
+        for i in range(r):
+            for j in range(i + 1, r):
+                bi, bj = g.branches[i], g.branches[j]
+                assert report.contact[i][j] == report.contact[j][i] == contact(bi, bj)
+                assert report.intersection[i][j] == intersection_multiplicity(bi, bj)
+                deep += report.contact[i][j] > min(bi.terms[0][0] / bi.n if bi.terms else 99,
+                                                   bj.terms[0][0] / bj.n if bj.terms else 99)
+        twin = germ(branches)
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+        assert repr(g) == f"CurveGerm(branches={g.branches!r})"
+        doc = germ_to_dict(g)
+        assert set(doc) == {"zeta_order", "branches"}
+        again = germ_from_dict(doc)
+        assert again == g and germ_to_dict(again) == doc
+        germs += 1
+    assert deep >= 10, deep
+
+
+def test_under_truncated_pairs_fail_before_a_report_is_attempted():
+    # Germ validation runs the conjugate sweeps that the report reads, so
+    # an inconclusive pair is rejected at construction with the pair named.
     with pytest.raises(GermValidationError, match="branches 1 and 2"):
         germ(
             [

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from curvegerm import CyclotomicNumber, cyclotomic_polynomial, field_degree, zeta
+from curvegerm import CyclotomicNumber, cyclotomic_polynomial, zeta
+from curvegerm.cyclotomic import field_degree
 
 
 # --- independent integer polynomial helpers used only as oracles ----------

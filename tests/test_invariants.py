@@ -11,7 +11,6 @@ from curvegerm import (
     characteristic_data,
     conjugate,
     lipschitz_normal_form,
-    multiplicity,
     zeta,
 )
 
@@ -127,8 +126,3 @@ def test_inconsistent_characteristic_data_is_rejected():
     with pytest.raises(ValueError, match="inconsistent"):
         CharacteristicData((2, 5), (2, 2), ((5, 2),), 1)
 
-
-def test_multiplicity_reads_the_parameter_order():
-    assert multiplicity(branch(2, [(5, 1)], truncation=6)) == 2
-    assert multiplicity(branch(1, [], truncation=6)) == 1
-    assert multiplicity(branch(4, [(6, 1), (7, 1)], truncation=8)) == 4

@@ -15,7 +15,6 @@ from curvegerm import (
     gap_function,
     gap_profile,
     geometric_grid,
-    merge_samples,
     radial_holder_map,
     sample_branch_arc,
     witness_arcs,
@@ -98,7 +97,7 @@ def test_gap_is_monotone_under_extra_points():
     a = sample_branch_arc(axis(), 0, 0.0, grid)
     b = sample_branch_arc(branch(1, [(2, 1)], truncation=8), 0, 0.0, grid)
     extra = sample_branch_arc(axis(), 0, 0.1, grid)
-    enlarged = merge_samples([a, extra])
+    enlarged = ArcSample(np.concatenate([a.points, extra.points]))
     for r in grid:
         assert gap_function(enlarged, b, r) <= gap_function(a, b, r) + 1e-15
 
@@ -169,6 +168,13 @@ def test_radial_map_identity_and_norm_scaling():
     assert np.allclose(mapped.points, arc.points * scale, rtol=1e-12)
     with pytest.raises(ValueError):
         radial_holder_map(arc, 0.5)
+
+
+@pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf])
+def test_radial_map_rejects_non_finite_exponents(exponent):
+    arc = sample_branch_arc(axis(), 0, 0.0, geometric_grid(0.1, 1e-3, 12))
+    with pytest.raises(ValueError, match=f"got {exponent}"):
+        radial_holder_map(arc, exponent)
 
 
 def test_radial_map_changes_contact_as_predicted():

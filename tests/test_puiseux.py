@@ -13,13 +13,13 @@ from curvegerm import (
     branch,
     conjugate,
     difference_order,
-    field_degree,
     germ,
     germ_from_dict,
     germ_to_dict,
     parse_germ,
     zeta,
 )
+from curvegerm.cyclotomic import field_degree
 from curvegerm.puiseux import difference_orders
 
 
