@@ -47,7 +47,6 @@ from curvegerm.metric import (
     default_branch_grid,
     estimate_branch_contact,
     estimate_contact,
-    gap_function,
     gap_profile,
     geometric_grid,
     radial_holder_map,
@@ -103,7 +102,6 @@ __all__ = [
     "difference_order",
     "estimate_branch_contact",
     "estimate_contact",
-    "gap_function",
     "gap_profile",
     "geometric_grid",
     "germ",

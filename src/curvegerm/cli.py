@@ -131,7 +131,10 @@ def _cmd_estimate(args) -> dict:
 def _cmd_check_prop1(args) -> dict:
     b1 = _single_branch(load_germ(args.file_a), args.file_a)
     b2 = _single_branch(load_germ(args.file_b), args.file_b)
-    grid = args.grid if args.grid is not None else geometric_grid(1e-1, 1e-3, 16)
+    grid = args.grid
+    if grid is None:
+        r_max = default_branch_grid(b1, b2)[0]
+        grid = geometric_grid(r_max, r_max / 100, 16)
     arc1 = sample_branch_arc(b1, 0, 0.0, np.asarray(grid) ** (1.0 / b1.n))
     arc2 = sample_branch_arc(b2, 0, 0.0, np.asarray(grid) ** (1.0 / b2.n))
     report = check_contact_distortion(arc1, arc2, args.beta, grid, tolerance=args.tolerance)
@@ -157,7 +160,7 @@ def _cmd_proof_arcs(args) -> dict:
         _write_csv(
             args.csv,
             radii,
-            np.vstack([gap_profile(base, twisted, radii), gap_profile(base, quarter, radii)]),
+            np.vstack([gap_profile(base, twisted), gap_profile(base, quarter)]),
             header=("r", "gap_conjugate_twist", "gap_quarter_turn"),
         )
     return {
@@ -227,7 +230,8 @@ def _emit_error(kind: str, message: str, as_json: bool, lower_bound=None):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument(
+    numeric = argparse.ArgumentParser(add_help=False)
+    numeric.add_argument(
         "--tolerance",
         type=float,
         default=0.1,
@@ -254,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_b")
     p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("estimate", parents=[common], help="numeric contact estimate")
+    p = sub.add_parser("estimate", parents=[common, numeric], help="numeric contact estimate")
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--grid", type=_grid_spec, metavar="r_max,r_min,count")
@@ -264,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check-prop1",
-        parents=[common],
+        parents=[common, numeric],
         help="empirical contact-distortion bounds under a radial Holder map",
     )
     p.add_argument("file_a")

@@ -2,11 +2,12 @@
 
 The contact of two germs at the origin is the limiting slope of
 ln(gap(r)) against ln(r), where gap(r) is the smallest distance between
-points of the two sets of norm at least r.  This module samples arcs on
-branches, evaluates the gap on geometric radius grids, and estimates the
-slope by least squares, reporting the fit quality.  It is the numeric
-cross-check for the exact coincidence computation, and it also exercises
-the distortion bounds a radial Holder map must satisfy.
+points of the two sets sampled at x-radius r.  This module samples arcs
+on branches over geometric radius grids, takes that gap at every grid
+radius with one kernel, and estimates the slope by least squares,
+reporting the fit quality.  It is the numeric cross-check for the exact
+contact computation, and it also exercises the distortion bounds a
+radial Holder map must satisfy.
 
 Everything here is double precision; by default radii below 1e-6 are
 excluded so cancellation does not drown the signal.
@@ -27,10 +28,6 @@ DEFAULT_MIN_RADIUS = 1e-6
 
 #: Default number of x-angles swept when estimating branch-pair contact.
 DEFAULT_ANGLES = 64
-
-#: Relative slack when selecting points of norm >= r, absorbing roundoff
-#: in radii that were produced by n-th roots.
-_RADIUS_SLACK = 1e-9
 
 
 def geometric_grid(r_max: float = 1e-1, r_min: float = 1e-4, count: int = 16) -> np.ndarray:
@@ -70,6 +67,18 @@ def _validate_t_grid(grid: np.ndarray):
         )
 
 
+def _phase(b: PuiseuxBranch, conj: int, angle: float) -> complex:
+    return np.exp(1j * (angle + 2.0 * math.pi * (conj % b.n)) / b.n)
+
+
+def _points(b: PuiseuxBranch, t: np.ndarray) -> np.ndarray:
+    """The points (t^n, y(t)) for every t, stacked on a new last axis."""
+    y = np.zeros_like(t)
+    for m, coeff in b.terms:
+        y = y + coeff.to_complex() * t**m
+    return np.stack([t**b.n, y], axis=-1)
+
+
 def sample_branch_arc(
     b: PuiseuxBranch, conj: int = 0, angle: float = 0.0, grid=None
 ) -> ArcSample:
@@ -83,35 +92,32 @@ def sample_branch_arc(
         grid = geometric_grid() ** (1.0 / b.n)
     s = np.asarray(grid, dtype=float)
     _validate_t_grid(s)
-    phase = np.exp(1j * (angle + 2.0 * math.pi * (conj % b.n)) / b.n)
-    t = phase * s
-    x = t**b.n
-    y = np.zeros_like(t)
-    for m, coeff in b.terms:
-        y = y + coeff.to_complex() * t**m
-    points = np.column_stack([x, y])
     meta = {
         "branch": f"n={b.n}, exponents={list(b.exponents)}",
         "conjugation": conj % b.n,
         "angle": angle,
         "grid": {"start": float(s[0]), "stop": float(s[-1]), "count": int(s.size)},
     }
-    return ArcSample(points, meta=meta)
+    return ArcSample(_points(b, _phase(b, conj, angle) * s), meta=meta)
 
 
-def gap_function(a: ArcSample, b: ArcSample, r: float) -> float:
-    """Smallest distance between points of the two samples of norm >= r."""
-    pa = a.points[a.radii >= r * (1 - _RADIUS_SLACK)]
-    pb = b.points[b.radii >= r * (1 - _RADIUS_SLACK)]
-    if len(pa) == 0 or len(pb) == 0:
-        raise ValueError(f"no sampled points of norm >= {r:.4g} in one of the arcs")
-    diff = pa[:, None, :] - pb[None, :, :]
-    return float(np.sqrt((np.abs(diff) ** 2).sum(axis=-1)).min())
+def _gap_kernel(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Per radius index, the smallest distance between the two clouds' points there.
+
+    Both clouds have shape (arcs, radii, 2) with the same number of radii.
+    """
+    gaps = np.empty(c1.shape[1])
+    for k in range(gaps.size):
+        diff = c1[:, k, None, :] - c2[None, :, k, :]
+        gaps[k] = np.sqrt((np.abs(diff) ** 2).sum(axis=-1)).min()
+    return gaps
 
 
-def gap_profile(a: ArcSample, b: ArcSample, grid) -> np.ndarray:
-    """gap_function evaluated on every radius of the grid."""
-    return np.array([gap_function(a, b, r) for r in np.asarray(grid, dtype=float)])
+def gap_profile(a: ArcSample, b: ArcSample) -> np.ndarray:
+    """Distance between the points of equal index in two samples of equal length."""
+    if len(a) != len(b):
+        raise ValueError(f"samples of {len(a)} and {len(b)} points cannot be compared")
+    return _gap_kernel(a.points[None], b.points[None])
 
 
 @dataclass(frozen=True)
@@ -145,20 +151,19 @@ def _fit_loglog(radii: np.ndarray, gaps: np.ndarray) -> ContactEstimate:
 
 
 def estimate_contact(a: ArcSample, b: ArcSample, grid) -> ContactEstimate:
-    """Estimate the contact of two sampled arcs over the given radius grid."""
+    """Estimate the contact of two sampled arcs over the radius grid they share."""
     grid = np.asarray(grid, dtype=float)
-    return _fit_loglog(grid, gap_profile(a, b, grid))
+    if grid.size != len(a):
+        raise ValueError(f"grid of {grid.size} radii for samples of {len(a)} points")
+    return _fit_loglog(grid, gap_profile(a, b))
 
 
 def _branch_cloud(b: PuiseuxBranch, radii: np.ndarray, angles: int) -> np.ndarray:
     """Stacked points, shape (arcs, radii, 2), aligned on the x-radius grid."""
     s = radii ** (1.0 / b.n)
-    rows = []
-    for conj in range(b.n):
-        for k in range(angles):
-            theta = 2.0 * math.pi * k / angles
-            rows.append(sample_branch_arc(b, conj, theta, s).points)
-    return np.stack(rows)
+    _validate_t_grid(s)
+    arcs = [(conj, 2.0 * math.pi * k / angles) for conj in range(b.n) for k in range(angles)]
+    return _points(b, np.array([_phase(b, *arc) for arc in arcs])[:, None] * s)
 
 
 def branch_gap_profile(
@@ -176,16 +181,10 @@ def branch_gap_profile(
     if angles < 1:
         raise ValueError(f"angles must be at least 1, got {angles}")
     radii = np.asarray(radii, dtype=float)
-    c1 = _branch_cloud(b1, radii, angles)
-    c2 = _branch_cloud(b2, radii, angles)
-    gaps = np.empty(radii.size)
-    for k in range(radii.size):
-        diff = c1[:, k, None, :] - c2[None, :, k, :]
-        gaps[k] = np.sqrt((np.abs(diff) ** 2).sum(axis=-1)).min()
-    return gaps
+    return _gap_kernel(_branch_cloud(b1, radii, angles), _branch_cloud(b2, radii, angles))
 
 
-def default_branch_grid(*branches, count: int = 16) -> np.ndarray:
+def default_branch_grid(*branches) -> np.ndarray:
     """Radius grid respecting the t-radius bound 0.5 for every branch."""
     n = max(b.n for b in branches)
     r_max = min(0.1, 0.5**n)
@@ -194,7 +193,7 @@ def default_branch_grid(*branches, count: int = 16) -> np.ndarray:
             f"no default radius grid for multiplicity {n}: 0.5^{n} = {r_max:.3g} "
             f"is not above the radius floor {DEFAULT_MIN_RADIUS:g}"
         )
-    return geometric_grid(r_max, max(r_max * 1e-3, DEFAULT_MIN_RADIUS), count)
+    return geometric_grid(r_max, max(r_max * 1e-3, DEFAULT_MIN_RADIUS), 16)
 
 
 def estimate_branch_contact(
@@ -202,7 +201,6 @@ def estimate_branch_contact(
     b2: PuiseuxBranch,
     radii=None,
     angles: int = DEFAULT_ANGLES,
-    min_radius: float = DEFAULT_MIN_RADIUS,
 ) -> ContactEstimate:
     """Numeric contact estimate for a pair of branches.
 
@@ -212,7 +210,7 @@ def estimate_branch_contact(
     if radii is None:
         radii = default_branch_grid(b1, b2)
     radii = np.asarray(radii, dtype=float)
-    radii = radii[radii >= min_radius]
+    radii = radii[radii >= DEFAULT_MIN_RADIUS]
     return _fit_loglog(radii, branch_gap_profile(b1, b2, radii, angles))
 
 
@@ -261,7 +259,6 @@ def check_contact_distortion(
     exponent: float,
     grid=None,
     tolerance: float = 0.1,
-    min_radius: float = DEFAULT_MIN_RADIUS,
 ) -> DistortionReport:
     """Verify that a radial Holder map distorts contact by at most alpha**2.
 
@@ -274,10 +271,9 @@ def check_contact_distortion(
     grid = np.asarray(grid, dtype=float)
     source = estimate_contact(a, b, grid)
     image_grid = grid**exponent
-    image_grid = image_grid[image_grid >= min_radius]
-    image = estimate_contact(
-        radial_holder_map(a, exponent), radial_holder_map(b, exponent), image_grid
-    )
+    image_gaps = gap_profile(radial_holder_map(a, exponent), radial_holder_map(b, exponent))
+    kept = image_grid >= DEFAULT_MIN_RADIUS
+    image = _fit_loglog(image_grid[kept], image_gaps[kept])
     alpha = 1.0 / exponent
     lower_ok = alpha**2 * image.slope <= source.slope * (1 + tolerance)
     upper_ok = source.slope <= image.slope / alpha**2 * (1 + tolerance)

@@ -1,4 +1,5 @@
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,7 @@ AXIS_AND_CUBIC = {
         {"n": 1, "truncation": 16, "terms": [{"exp": 3, "coeff": {"rational": "1"}}]},
     ]
 }
+DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
 AXIS = {"branches": [{"n": 1, "truncation": 16, "terms": []}]}
 PARABOLA = {
     "branches": [
@@ -139,6 +141,17 @@ def test_check_prop1_command(tmp_path, capsys):
     assert code == 0
     assert payload["passed"] is True
     assert abs(payload["contact_image"]["slope"] - 1.5) < 0.1
+
+
+def test_check_prop1_default_grid_fits_multiplicity_four(capsys):
+    # 0.5^4 bounds the x-radii of the n=4 branch: the grid runs 0.0625 .. 0.000625
+    a, b = str(DEMO_DATA / "axis.json"), str(DEMO_DATA / "genus_two.json")
+    code, payload = run_json(capsys, ["check-prop1", a, b, "--beta", "2"])
+    assert code == 0
+    assert payload["contact_source"]["window"] == [0.0625 / 100, 0.0625]
+    assert payload["contact_image"]["window"][0] >= 1e-6  # image radii below the floor dropped
+    assert abs(payload["contact_source"]["slope"] - 1.5) < 0.1
+    assert payload["passed"] is True
 
 
 def test_proof_arcs_command(tmp_path, capsys):
@@ -299,3 +312,14 @@ def test_classify_requires_two_files(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["classify", "only-one.json"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["invariants", "a.json"], ["contact", "a.json"], ["classify", "a.json", "b.json"]],
+)
+def test_tolerance_is_only_for_the_numeric_commands(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--tolerance", "5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --tolerance 5" in capsys.readouterr().err

@@ -1,4 +1,6 @@
+import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,18 +9,24 @@ from curvegerm import (
     ArcSample,
     branch,
     branch_gap_profile,
+    characteristic_data,
     check_contact_distortion,
     contact,
     default_branch_grid,
     estimate_branch_contact,
     estimate_contact,
-    gap_function,
     gap_profile,
     geometric_grid,
+    load_germ,
     radial_holder_map,
     sample_branch_arc,
     witness_arcs,
+    zeta,
 )
+from curvegerm.metric import DEFAULT_MIN_RADIUS, _branch_cloud, _gap_kernel
+
+DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
+DEMO_BRANCHES = [b for path in sorted(DEMO_DATA.glob("*.json")) for b in load_germ(path).branches]
 
 
 def axis(truncation=32, field_order=1):
@@ -60,46 +68,95 @@ def test_sample_grid_validation():
         sample_branch_arc(b, 0, 0.0, np.array([0.9, 0.1]))
 
 
-def test_gap_function_against_brute_force():
+def norm_gap_oracle(a, b, grid):
+    """Reference gap: for each r, the smallest distance between points of
+    the two samples of norm at least r (with a relative slack of 1e-9 for
+    roundoff in radii made by n-th roots).  On the samples the callers
+    build, the equal-index gap of ``gap_profile`` equals it bit for bit."""
+    gaps = []
+    for r in grid:
+        pa = a.points[a.radii >= r * (1 - 1e-9)]
+        pb = b.points[b.radii >= r * (1 - 1e-9)]
+        diff = pa[:, None, :] - pb[None, :, :]
+        gaps.append(np.sqrt((np.abs(diff) ** 2).sum(axis=-1)).min())
+    return np.array(gaps)
+
+
+def test_gap_kernel_against_brute_force():
+    b1 = branch(2, [(3, 1), (4, zeta(3))], truncation=8, field_order=6)
+    b2 = branch(3, [(4, 1)], truncation=8, field_order=6)
+    radii = geometric_grid(0.1, 1e-3, 5)
+    c1, c2 = _branch_cloud(b1, radii, 3), _branch_cloud(b2, radii, 3)
+    assert c1.shape == (6, 5, 2) and c2.shape == (9, 5, 2)
+    gaps = _gap_kernel(c1, c2)
+
+    def real(p):
+        return (p[0].real, p[0].imag, p[1].real, p[1].imag)
+
+    for k in range(radii.size):
+        brute = min(math.dist(real(p), real(q)) for p in c1[:, k] for q in c2[:, k])
+        assert gaps[k] == pytest.approx(brute, rel=1e-12)
+    assert np.array_equal(branch_gap_profile(b1, b2, radii, 3), gaps)
+
+
+def test_branch_cloud_stacks_the_sampled_arcs():
+    for b in DEMO_BRANCHES + [branch(2, [(3, zeta(5)), (4, 1)], truncation=8)]:
+        radii = default_branch_grid(b)
+        s = radii ** (1.0 / b.n)
+        arcs = [
+            sample_branch_arc(b, conj, 2.0 * math.pi * k / 5, s).points
+            for conj in range(b.n)
+            for k in range(5)
+        ]
+        assert np.array_equal(_branch_cloud(b, radii, 5), np.stack(arcs))
+
+
+def test_gap_profile_of_identical_samples_is_zero():
     grid = geometric_grid(0.1, 1e-3, 12)
     a = sample_branch_arc(axis(), 0, 0.0, grid)
-    b = sample_branch_arc(branch(1, [(2, 1)], truncation=8), 0, 0.0, grid)
-    value = gap_function(a, b, 0.1)
-
-    brute = min(
-        math.dist(
-            (p[0].real, p[0].imag, p[1].real, p[1].imag),
-            (q[0].real, q[0].imag, q[1].real, q[1].imag),
-        )
-        for p, ra in zip(a.points, a.radii)
-        for q, rb in zip(b.points, b.radii)
-        if ra >= 0.1 * (1 - 1e-9) and rb >= 0.1 * (1 - 1e-9)
-    )
-    assert value == pytest.approx(brute, rel=1e-12)
-    assert value == pytest.approx(0.01, rel=1e-6)
-
-
-def test_gap_function_identical_samples_is_zero():
-    grid = geometric_grid(0.1, 1e-3, 12)
-    a = sample_branch_arc(axis(), 0, 0.0, grid)
-    assert gap_function(a, a, 0.05) == 0.0
-
-
-def test_gap_function_needs_points_above_the_radius():
-    grid = geometric_grid(0.1, 1e-3, 12)
-    a = sample_branch_arc(axis(), 0, 0.0, grid)
-    with pytest.raises(ValueError, match="norm"):
-        gap_function(a, a, 0.5)
+    assert np.array_equal(gap_profile(a, a), np.zeros(12))
 
 
 def test_gap_is_monotone_under_extra_points():
-    grid = geometric_grid(0.1, 1e-3, 12)
+    # the four-angle sweep contains every point of the two-angle one
+    b1, b2 = axis(field_order=2), branch(2, [(3, 1)], truncation=8)
+    radii = geometric_grid(0.1, 1e-3, 12)
+    assert np.all(branch_gap_profile(b1, b2, radii, 4) <= branch_gap_profile(b1, b2, radii, 2))
+
+
+def test_gap_profile_matches_the_norm_gap_on_witness_arcs():
+    profiles = 0
+    for b in DEMO_BRANCHES:
+        radii = default_branch_grid(b)
+        for index in range(1, characteristic_data(b).genus + 1):
+            for x, y in itertools.combinations(witness_arcs(b, index, radii), 2):
+                assert np.array_equal(gap_profile(x, y), norm_gap_oracle(x, y, radii))
+                profiles += 1
+    assert profiles == 6 * 5
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.25, 2.0, 3.0])
+def test_gap_profile_matches_the_norm_gap_on_distortion_inputs(beta):
+    grid = geometric_grid(1e-1, 1e-3, 16)
+    image_grid = grid**beta
+    kept = image_grid >= DEFAULT_MIN_RADIUS
+    arcs = [sample_branch_arc(b, 0, 0.0, grid ** (1.0 / b.n)) for b in DEMO_BRANCHES if b.n <= 3]
+    for a, b in itertools.product(arcs, repeat=2):
+        assert np.array_equal(gap_profile(a, b), norm_gap_oracle(a, b, grid))
+        ma, mb = radial_holder_map(a, beta), radial_holder_map(b, beta)
+        image = gap_profile(ma, mb)[kept]
+        assert np.array_equal(image, norm_gap_oracle(ma, mb, image_grid[kept]))
+
+
+def test_gap_profile_rejects_samples_of_different_lengths():
+    grid = geometric_grid(0.1, 1e-3, 10)
     a = sample_branch_arc(axis(), 0, 0.0, grid)
     b = sample_branch_arc(branch(1, [(2, 1)], truncation=8), 0, 0.0, grid)
-    extra = sample_branch_arc(axis(), 0, 0.1, grid)
-    enlarged = ArcSample(np.concatenate([a.points, extra.points]))
-    for r in grid:
-        assert gap_function(enlarged, b, r) <= gap_function(a, b, r) + 1e-15
+    with pytest.raises(ValueError, match="grid of 8 radii for samples of 10 points"):
+        estimate_contact(a, b, grid[:8])
+    short = sample_branch_arc(axis(), 0, 0.0, grid[:9])
+    with pytest.raises(ValueError, match="samples of 10 and 9 points"):
+        gap_profile(a, short)
 
 
 def test_estimate_contact_on_smooth_pairs():
@@ -137,7 +194,7 @@ def test_degenerate_regression_is_reported():
     points_b = np.column_stack([np.linspace(1, 2, 10) + 0j, np.ones(10) + 0j])
     a, b = ArcSample(points_a), ArcSample(points_b)
     with pytest.raises(ValueError, match="degenerate"):
-        estimate_contact(a, b, np.linspace(1.4, 1.0, 8))
+        estimate_contact(a, b, np.linspace(1.4, 1.0, 10))
 
 
 def test_branch_estimates_track_the_exact_contact():
@@ -220,12 +277,3 @@ def test_witness_arcs_validation():
         witness_arcs(axis(), 1)
     with pytest.raises(ValueError, match="out of range"):
         witness_arcs(branch(2, [(5, 1)], truncation=8), 2)
-
-
-def test_gap_profile_matches_pointwise_calls():
-    grid = geometric_grid(0.1, 1e-3, 10)
-    a = sample_branch_arc(axis(), 0, 0.0, grid)
-    b = sample_branch_arc(branch(1, [(2, 1)], truncation=8), 0, 0.0, grid)
-    profile = gap_profile(a, b, grid)
-    assert profile.shape == (10,)
-    assert profile[3] == gap_function(a, b, grid[3])
