@@ -92,15 +92,20 @@ def _power_basis(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
-def _reduced(order: int, terms) -> CyclotomicNumber:
-    """Sum of c * zeta^k over the (k, c) pairs, in ints over the c's common denominator."""
-    terms = [(k % order, c) for k, c in terms if c]
+def _numerators(terms) -> tuple[int, list[tuple[int, int]]]:
+    """The nonzero (k, c) pairs of rationals as (k, int) pairs over their common denominator."""
+    terms = [(k, c) for k, c in terms if c]
     den = math.lcm(*(c.denominator for _, c in terms))
+    return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms]
+
+
+def _over(order: int, den: int, terms) -> CyclotomicNumber:
+    """Sum of c * zeta^k / den over the (k, c) pairs of ints."""
     basis = _power_basis(order)
     deg = field_degree(order)
     out = [0] * deg
     for k, c in terms:
-        c = c.numerator * (den // c.denominator)
+        k %= order
         if k < deg:
             out[k] += c
         else:
@@ -110,6 +115,11 @@ def _reduced(order: int, terms) -> CyclotomicNumber:
     number.order = order
     number.coeffs = tuple(Fraction(x, den) if x else _ZERO for x in out)
     return number
+
+
+def _reduced(order: int, terms) -> CyclotomicNumber:
+    """Sum of c * zeta^k over the (k, c) pairs, in ints over the c's common denominator."""
+    return _over(order, *_numerators(terms))
 
 
 class CyclotomicNumber:
@@ -197,10 +207,13 @@ class CyclotomicNumber:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        pairs = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        return _reduced(self.order, (
-            (i + j, a * b) for i, a in enumerate(self.coeffs) if a for j, b in pairs
-        ))
+        da, xs = _numerators(enumerate(self.coeffs))
+        db, ys = _numerators(enumerate(other.coeffs))
+        product = [0] * (2 * len(self.coeffs) - 1)
+        for i, x in xs:
+            for j, y in ys:
+                product[i + j] += x * y
+        return _over(self.order, da * db, [(k, c) for k, c in enumerate(product) if c])
 
     __rmul__ = __mul__
 

@@ -1,33 +1,41 @@
 """Floating-point contact estimation from sampled arcs.
 
 The contact of two germs at the origin is the limiting slope of
-ln(gap(r)) against ln(r), where gap(r) is the smallest distance between
-points of the two sets sampled at x-radius r.  This module samples arcs
-on branches over geometric radius grids, takes that gap at every grid
-radius with one kernel, and estimates the slope by least squares,
-reporting the fit quality.  It is the numeric cross-check for the exact
-contact computation, and it also exercises the distortion bounds a
-radial Holder map must satisfy.
+ln(gap(r)) against ln(r).  For two branches, gap(r) is the smallest
+|y1 - y2| between points of the two branches over the same x, taken
+over a sweep of x on the circle |x| = r and over every pair of
+conjugates; each difference is evaluated from the exact difference
+series, so terms that cancel never reach floating point.  For two
+sampled arcs, gap(r) is the distance between their points of equal
+index.  This module samples arcs on branches over geometric radius
+grids, takes the gap at every grid radius, and estimates the slope by
+least squares, reporting the fit quality.  It is the numeric
+cross-check for the exact contact computation, and it also exercises
+the distortion bounds a radial Holder map must satisfy.
 
 Everything here is double precision; by default radii below 1e-6 are
-excluded so cancellation does not drown the signal.
+excluded so cancellation inside a sampled arc does not drown the signal.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from curvegerm.invariants import characteristic_data
-from curvegerm.puiseux import PuiseuxBranch, conjugate
+from curvegerm.puiseux import PuiseuxBranch, conjugate, difference_series, lift_branch
 
 #: Radii below this are dropped from default grids.
 DEFAULT_MIN_RADIUS = 1e-6
 
 #: Default number of x-angles swept when estimating branch-pair contact.
 DEFAULT_ANGLES = 64
+
+#: Fewest radii a contact estimate fits a slope through.
+_FIT_POINTS = 8
 
 
 def geometric_grid(r_max: float = 1e-1, r_min: float = 1e-4, count: int = 16) -> np.ndarray:
@@ -67,18 +75,6 @@ def _validate_t_grid(grid: np.ndarray):
         )
 
 
-def _phase(b: PuiseuxBranch, conj: int, angle: float) -> complex:
-    return np.exp(1j * (angle + 2.0 * math.pi * (conj % b.n)) / b.n)
-
-
-def _points(b: PuiseuxBranch, t: np.ndarray) -> np.ndarray:
-    """The points (t^n, y(t)) for every t, stacked on a new last axis."""
-    y = np.zeros_like(t)
-    for m, coeff in b.terms:
-        y = y + coeff.to_complex() * t**m
-    return np.stack([t**b.n, y], axis=-1)
-
-
 def sample_branch_arc(
     b: PuiseuxBranch, conj: int = 0, angle: float = 0.0, grid=None
 ) -> ArcSample:
@@ -98,26 +94,18 @@ def sample_branch_arc(
         "angle": angle,
         "grid": {"start": float(s[0]), "stop": float(s[-1]), "count": int(s.size)},
     }
-    return ArcSample(_points(b, _phase(b, conj, angle) * s), meta=meta)
-
-
-def _gap_kernel(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Per radius index, the smallest distance between the two clouds' points there.
-
-    Both clouds have shape (arcs, radii, 2) with the same number of radii.
-    """
-    gaps = np.empty(c1.shape[1])
-    for k in range(gaps.size):
-        diff = c1[:, k, None, :] - c2[None, :, k, :]
-        gaps[k] = np.sqrt((np.abs(diff) ** 2).sum(axis=-1)).min()
-    return gaps
+    t = np.exp(1j * (angle + 2.0 * math.pi * (conj % b.n)) / b.n) * s
+    y = np.zeros_like(t)
+    for m, coeff in b.terms:
+        y = y + coeff.to_complex() * t**m
+    return ArcSample(np.stack([t**b.n, y], axis=-1), meta=meta)
 
 
 def gap_profile(a: ArcSample, b: ArcSample) -> np.ndarray:
     """Distance between the points of equal index in two samples of equal length."""
     if len(a) != len(b):
         raise ValueError(f"samples of {len(a)} and {len(b)} points cannot be compared")
-    return _gap_kernel(a.points[None], b.points[None])
+    return np.sqrt((np.abs(a.points - b.points) ** 2).sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -137,8 +125,8 @@ class ContactEstimate:
 
 
 def _fit_loglog(radii: np.ndarray, gaps: np.ndarray) -> ContactEstimate:
-    if radii.size < 8:
-        raise ValueError("need at least 8 grid points for a contact estimate")
+    if radii.size < _FIT_POINTS:
+        raise ValueError(f"need at least {_FIT_POINTS} grid points for a contact estimate")
     if np.any(gaps <= 0):
         raise ValueError("zero gap encountered: the sampled sets overlap")
     lr, lg = np.log(radii), np.log(gaps)
@@ -158,30 +146,45 @@ def estimate_contact(a: ArcSample, b: ArcSample, grid) -> ContactEstimate:
     return _fit_loglog(grid, gap_profile(a, b))
 
 
-def _branch_cloud(b: PuiseuxBranch, radii: np.ndarray, angles: int) -> np.ndarray:
-    """Stacked points, shape (arcs, radii, 2), aligned on the x-radius grid."""
-    s = radii ** (1.0 / b.n)
-    _validate_t_grid(s)
-    arcs = [(conj, 2.0 * math.pi * k / angles) for conj in range(b.n) for k in range(angles)]
-    return _points(b, np.array([_phase(b, *arc) for arc in arcs])[:, None] * s)
-
-
 def branch_gap_profile(
     b1: PuiseuxBranch,
     b2: PuiseuxBranch,
     radii,
     angles: int = DEFAULT_ANGLES,
 ) -> np.ndarray:
-    """Per-radius minimal distance between the two branches.
+    """Per-radius gap between the two branches at equal x.
 
-    Every conjugate of each branch is sampled on a common x-radius grid
-    and a common sweep of x-angles; the gap at each radius is the
-    minimum over all point pairs at that radius.
+    Over each x = r * exp(2*pi*i*j/angles) the branches have n1 and n2
+    y-values; the gap at r is the smallest |y1 - y2| over those n1*n2
+    pairs and over all angles j.  Each difference is evaluated from the
+    exact series b1 - conj_k(b2) in s, x = s^n with n = lcm(n1, n2):
+    the n1*angles values s = r^(1/n) * exp(2*pi*i*m/(n*angles)) lie over
+    every x of the sweep, with sheet m // angles of b1 against sheet
+    m // angles + k of b2.  Raises ValueError when some conjugate pair
+    agrees in every known term, since its gap is zero at every radius.
     """
     if angles < 1:
         raise ValueError(f"angles must be at least 1, got {angles}")
     radii = np.asarray(radii, dtype=float)
-    return _gap_kernel(_branch_cloud(b1, radii, angles), _branch_cloud(b2, radii, angles))
+    for b in (b1, b2):
+        _validate_t_grid(radii ** (1.0 / b.n))
+    order = math.lcm(b1.field_order, b2.field_order)
+    b1, b2 = lift_branch(b1, order), lift_branch(b2, order)
+    n = math.lcm(b1.n, b2.n)
+    phases = np.exp(2j * math.pi * np.arange(b1.n * angles) / (n * angles))
+    s = phases[:, None] * radii ** (1.0 / n)
+    gaps = np.full(radii.size, np.inf)
+    for k in range(b2.n):
+        _, terms = difference_series(b1, b2, k)
+        if not terms:
+            known = min(Fraction(b1.truncation, b1.n), Fraction(b2.truncation, b2.n))
+            raise ValueError(
+                f"zero gap: conjugate {k} of the second branch agrees with the first "
+                f"in every known term, up to order {known} in x"
+            )
+        dy = sum(d.to_complex() * s**e for e, d in terms)
+        gaps = np.minimum(gaps, np.abs(dy).min(axis=0))
+    return gaps
 
 
 def default_branch_grid(*branches) -> np.ndarray:
@@ -273,6 +276,12 @@ def check_contact_distortion(
     image_grid = grid**exponent
     image_gaps = gap_profile(radial_holder_map(a, exponent), radial_holder_map(b, exponent))
     kept = image_grid >= DEFAULT_MIN_RADIUS
+    if kept.sum() < _FIT_POINTS:
+        raise ValueError(
+            f"the image grid r^{exponent:g} keeps only {kept.sum()} of {grid.size} radii "
+            f"above the {DEFAULT_MIN_RADIUS:g} floor; a contact estimate needs at least "
+            f"{_FIT_POINTS}"
+        )
     image = _fit_loglog(image_grid[kept], image_gaps[kept])
     alpha = 1.0 / exponent
     lower_ok = alpha**2 * image.slope <= source.slope * (1 + tolerance)

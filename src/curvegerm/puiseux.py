@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from curvegerm.cyclotomic import CyclotomicNumber, zeta
+from curvegerm.cyclotomic import CyclotomicNumber, _reduced
 
 
 class GermValidationError(ValueError):
@@ -140,15 +140,14 @@ def conjugate(b: PuiseuxBranch, k: int) -> PuiseuxBranch:
     return PuiseuxBranch(b.n, terms, b.truncation, b.field_order)
 
 
-def difference_order(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0) -> Fraction:
-    """Order in x at which b1 and the k-th conjugate of b2 first differ.
+def _aligned(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int):
+    """b1 and the k-th conjugate of b2 over the common parameter s, x = s^n.
 
-    Both series are rescaled to the common parameter s with x = s^lcm(n1,n2)
-    using integer exponent arithmetic only; the result is the smallest
-    differing s-exponent divided by the lcm.  Only a coefficient about to
-    be compared is rotated; the conjugate is never built.  Raises
-    TruncationExceeded, carrying the lower bound (limit+1)/lcm, when
-    every comparable term agrees.
+    Returns n = lcm(n1, n2), both term maps keyed by s-exponent, the
+    s-exponent up to which both series are known, and ``turn(e, c)``,
+    which rotates b2's coefficient c at s-exponent e into the k-th
+    conjugate.  Exponents are rescaled with integer arithmetic only, and
+    only a coefficient handed to ``turn`` is rotated.
     """
     if b1.field_order != b2.field_order:
         raise ValueError(
@@ -158,21 +157,54 @@ def difference_order(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0) -> Fracti
     n = math.lcm(b1.n, b2.n)
     f1, f2 = n // b1.n, n // b2.n
     step = (k % b2.n) * (b2.field_order // b2.n)
+
+    def turn(e, c):
+        return c.rotate(e // f2 * step) if step else c
+
     s1 = {m * f1: c for m, c in b1.terms}
     s2 = {m * f2: c for m, c in b2.terms}
-    limit = min(b1.truncation * f1, b2.truncation * f2)
+    return n, s1, s2, min(b1.truncation * f1, b2.truncation * f2), turn
+
+
+def difference_order(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0) -> Fraction:
+    """Order in x at which b1 and the k-th conjugate of b2 first differ.
+
+    Both series are rescaled to the common parameter s with x = s^lcm(n1,n2)
+    (see :func:`_aligned`); the result is the smallest differing s-exponent
+    divided by the lcm.  Raises TruncationExceeded, carrying the lower
+    bound (limit+1)/lcm, when every comparable term agrees.
+    """
+    n, s1, s2, limit, turn = _aligned(b1, b2, k)
     for e in sorted(set(s1) | set(s2)):
         if e > limit:
             break
         a, b = s1.get(e), s2.get(e)
-        if a is None or b is None:
-            return Fraction(e, n)
-        if a != (b.rotate(e // f2 * step) if step else b):
+        if a is None or b is None or a != turn(e, b):
             return Fraction(e, n)
     raise TruncationExceeded(
         f"series agree at every known exponent up to x^({limit}/{n})",
         lower_bound=Fraction(limit + 1, n),
     )
+
+
+def difference_series(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0):
+    """b1 minus the k-th conjugate of b2 as an exact series in s, x = s^n.
+
+    Returns n = lcm(n1, n2) and the ((e, coeff), ...) terms of the
+    difference in increasing s-exponent.  Every known term of either
+    branch takes part, whatever the other's truncation; terms whose
+    coefficients cancel exactly are dropped, so an empty series means the
+    two agree in every known term.  This is the term walk of
+    :func:`difference_order` without its early exit.
+    """
+    n, s1, s2, _, turn = _aligned(b1, b2, k)
+    terms = []
+    for e in sorted(set(s1) | set(s2)):
+        a, b = s1.get(e), s2.get(e)
+        d = a if b is None else -turn(e, b) if a is None else a - turn(e, b)
+        if not d.is_zero():
+            terms.append((e, d))
+    return n, tuple(terms)
 
 
 def difference_orders(b1: PuiseuxBranch, b2: PuiseuxBranch) -> list:
@@ -295,14 +327,12 @@ def _coefficient(node, declared_order: int) -> CyclotomicNumber:
     if "cyclotomic" in node:
         entries = node["cyclotomic"]
         _require(isinstance(entries, list), "'cyclotomic' must be a list of [q, k] pairs")
-        total = CyclotomicNumber.zero(declared_order)
         for entry in entries:
             _require(
                 isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], int),
                 f"bad cyclotomic entry {entry!r}: expected [\"p/q\", k]",
             )
-            total = total + _rational(entry[0]) * zeta(declared_order, entry[1])
-        return total
+        return _reduced(declared_order, [(k, _rational(q)) for q, k in entries])
     raise GermValidationError(f"unknown coefficient form {sorted(node)!r}")
 
 

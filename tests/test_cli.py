@@ -154,6 +154,28 @@ def test_check_prop1_default_grid_fits_multiplicity_four(capsys):
     assert payload["passed"] is True
 
 
+def test_check_prop1_names_a_short_image_grid(capsys):
+    # the n=4 grid 0.0625 .. 0.000625 cubed keeps 6 radii at or above 1e-6
+    a, b = str(DEMO_DATA / "axis.json"), str(DEMO_DATA / "genus_two.json")
+    code, payload = run_json(capsys, ["check-prop1", a, b, "--beta", "3"])
+    assert code == 4
+    assert payload["error_kind"] == "unsupported"
+    assert payload["message"].startswith(
+        "the image grid r^3 keeps only 6 of 16 radii above the 1e-06 floor"
+    )
+
+
+def test_estimate_of_a_file_against_itself_names_the_conjugate(capsys):
+    path = str(DEMO_DATA / "parabola.json")
+    code, payload = run_json(capsys, ["estimate", path, path])
+    assert code == 4
+    assert payload["error_kind"] == "unsupported"
+    assert payload["message"] == (
+        "zero gap: conjugate 0 of the second branch agrees with the first "
+        "in every known term, up to order 16 in x"
+    )
+
+
 def test_proof_arcs_command(tmp_path, capsys):
     path = write(tmp_path, "g.json", CUSP25)
     code, payload = run_json(capsys, ["proof-arcs", path, "--branch", "0", "--index", "1"])

@@ -226,3 +226,39 @@ def test_rotation_is_multiplication_by_a_root_of_unity():
         dense = _random_element(rng, order)
         for j in rng.sample(range(-order, 2 * order), min(3 * order, 12)):
             assert dense.rotate(j) == dense * zeta(order, j), (order, j)
+
+
+def fraction_product(a, b):
+    """Reference product with one Fraction per pair of coordinates: the
+    schoolbook product reduced by long division by the monic Phi_N."""
+    deg = field_degree(a.order)
+    product = [Fraction(0)] * (2 * deg - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            product[i + j] += x * y
+    phi = cyclotomic_polynomial(a.order)
+    for top in range(len(product) - 1, deg - 1, -1):
+        c = product[top]
+        for i, p in enumerate(phi):
+            product[top - deg + i] -= c * p
+    return tuple(product[:deg])
+
+
+def test_integer_product_matches_the_fraction_product():
+    rng = random.Random(97)
+    for order in (12, 210, 420):
+        deg = field_degree(order)
+        zero = CyclotomicNumber.zero(order)
+        sparse = CyclotomicNumber(
+            order, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) if i in (0, deg - 1) else 0
+                    for i in range(deg)]
+        )
+        dense = [_random_element(rng, order, 1000, 1000) for _ in range(2)]
+        for a, b in [(dense[0], dense[1]), (dense[1], dense[1]), (dense[0], sparse),
+                     (sparse, sparse), (dense[1], zero)]:
+            product = a * b
+            assert product.coeffs == fraction_product(a, b), order
+            assert all(type(c) is Fraction for c in product.coeffs)
+            assert abs(product.to_complex() - a.to_complex() * b.to_complex()) < 1e-6 * (
+                1 + abs(a.to_complex() * b.to_complex())
+            )

@@ -23,7 +23,8 @@ from curvegerm import (
     witness_arcs,
     zeta,
 )
-from curvegerm.metric import DEFAULT_MIN_RADIUS, _branch_cloud, _gap_kernel
+from curvegerm.metric import DEFAULT_MIN_RADIUS
+from curvegerm.puiseux import lift_branch
 
 DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
 DEMO_BRANCHES = [b for path in sorted(DEMO_DATA.glob("*.json")) for b in load_germ(path).branches]
@@ -82,6 +83,33 @@ def norm_gap_oracle(a, b, grid):
     return np.array(gaps)
 
 
+# The all-pairs gap that branch_gap_profile computed before it paired
+# points over equal x: every conjugate of each branch sampled on the same
+# x-radii and x-angles, and at each radius the smallest distance in C^2
+# over all (n1*angles) * (n2*angles) point pairs.  Kept here as an oracle.
+
+
+def _branch_cloud(b, radii, angles):
+    """Stacked points (t^n, y(t)), shape (arcs, radii, 2), aligned on the x-radius grid."""
+    s = radii ** (1.0 / b.n)
+    arcs = [(conj, 2.0 * math.pi * k / angles) for conj in range(b.n) for k in range(angles)]
+    t = np.array([np.exp(1j * (a + 2.0 * math.pi * (c % b.n)) / b.n) for c, a in arcs])
+    t = t[:, None] * s
+    y = np.zeros_like(t)
+    for m, coeff in b.terms:
+        y = y + coeff.to_complex() * t**m
+    return np.stack([t**b.n, y], axis=-1)
+
+
+def _gap_kernel(c1, c2):
+    """Per radius index, the smallest distance between the two clouds' points there."""
+    gaps = np.empty(c1.shape[1])
+    for k in range(gaps.size):
+        diff = c1[:, k, None, :] - c2[None, :, k, :]
+        gaps[k] = np.sqrt((np.abs(diff) ** 2).sum(axis=-1)).min()
+    return gaps
+
+
 def test_gap_kernel_against_brute_force():
     b1 = branch(2, [(3, 1), (4, zeta(3))], truncation=8, field_order=6)
     b2 = branch(3, [(4, 1)], truncation=8, field_order=6)
@@ -96,7 +124,15 @@ def test_gap_kernel_against_brute_force():
     for k in range(radii.size):
         brute = min(math.dist(real(p), real(q)) for p in c1[:, k] for q in c2[:, k])
         assert gaps[k] == pytest.approx(brute, rel=1e-12)
-    assert np.array_equal(branch_gap_profile(b1, b2, radii, 3), gaps)
+        # the equal-x pairs, from the points themselves
+        equal_x = min(
+            abs(p[1] - q[1])
+            for p in c1[:, k]
+            for q in c2[:, k]
+            if abs(p[0] - q[0]) <= 1e-12 * radii[k]
+        )
+        assert branch_gap_profile(b1, b2, radii, 3)[k] == pytest.approx(equal_x, rel=1e-12)
+    assert np.allclose(branch_gap_profile(b1, b2, radii, 3), gaps, rtol=1e-12, atol=0)
 
 
 def test_branch_cloud_stacks_the_sampled_arcs():
@@ -109,6 +145,55 @@ def test_branch_cloud_stacks_the_sampled_arcs():
             for k in range(5)
         ]
         assert np.array_equal(_branch_cloud(b, radii, 5), np.stack(arcs))
+
+
+def test_branch_gap_profile_matches_the_all_pairs_gap_on_demo_pairs():
+    compared = coincident = 0
+    for b1, b2 in itertools.permutations(DEMO_BRANCHES, 2):
+        order = math.lcm(b1.field_order, b2.field_order)
+        b1, b2 = lift_branch(b1, order), lift_branch(b2, order)
+        radii = default_branch_grid(b1, b2)
+        c1, c2 = _branch_cloud(b1, radii, 64), _branch_cloud(b2, radii, 64)
+        old = _gap_kernel(c1, c2)
+        try:
+            new = branch_gap_profile(b1, b2, radii)
+        except ValueError as exc:
+            assert "zero gap: conjugate 0" in str(exc)
+            assert np.all(old == 0)
+            coincident += 1
+            continue
+        size = np.maximum(np.abs(c1[..., 1]).max(axis=0), np.abs(c2[..., 1]).max(axis=0))
+        resolved = old > 1e-8 * size
+        assert np.allclose(new[resolved], old[resolved], rtol=1e-9, atol=0)
+        compared += int(resolved.sum())
+    # the axis appears in three demo files and the parabola in two
+    assert coincident == 3 * 2 + 2
+    assert compared == (10 * 9 - 8) * 16
+
+
+@pytest.mark.parametrize("h", range(2, 13))
+def test_high_contact_is_resolved(h):
+    parabola = branch(1, [(2, 1)], truncation=16)
+    other = branch(1, [(2, 2)] if h == 2 else [(2, 1), (h, 1)], truncation=max(16, h))
+    est = estimate_branch_contact(parabola, other)
+    assert abs(est.slope - h) < 0.1
+    assert est.r_squared >= 0.99
+
+
+def test_zero_gap_names_the_conjugate():
+    cusp = branch(2, [(3, 1)], truncation=5)
+    with pytest.raises(ValueError, match="conjugate 1 of the second branch .* order 5/2 in x"):
+        branch_gap_profile(cusp, branch(2, [(3, -1)], truncation=8), default_branch_grid(cusp))
+    longer = branch(2, [(3, 1), (7, 1)], truncation=8)
+    assert np.all(branch_gap_profile(cusp, longer, default_branch_grid(cusp)) > 0)
+
+
+def test_branch_gap_profile_keeps_terms_past_the_shorter_truncation():
+    # difference_order stops at x^(3/2), the end of the cusp's known terms
+    cusp = load_germ(DEMO_DATA / "cusp_2_3.json").branches[0]
+    genus_two = load_germ(DEMO_DATA / "genus_two.json").branches[0]
+    est = estimate_branch_contact(cusp, genus_two)
+    assert abs(est.slope - 1.75) < 0.01
 
 
 def test_gap_profile_of_identical_samples_is_zero():

@@ -20,7 +20,7 @@ from curvegerm import (
     zeta,
 )
 from curvegerm.cyclotomic import field_degree
-from curvegerm.puiseux import difference_orders
+from curvegerm.puiseux import difference_orders, difference_series
 
 
 def test_parse_single_cusp():
@@ -348,3 +348,57 @@ def test_difference_order_never_builds_the_conjugate_it_compares_against():
         first = min(b1.exponents[0] / b1.n, b2.exponents[0] / b2.n if b2.terms else 99)
         deep += sum(isinstance(v, Fraction) and v > first for v in sweep)
     assert blocked >= 10 and deep >= 10, (blocked, deep)
+
+
+def test_cyclotomic_coefficient_sums_repeated_negative_and_large_powers():
+    entries = [["1/2", 1], ["1/3", 1], ["-2", -1], ["5", 7], ["0", 2], ["3/4", 0], ["-1/6", 12]]
+    doc = {
+        "zeta_order": 6,
+        "branches": [{"n": 1, "truncation": 2,
+                      "terms": [{"exp": 2, "coeff": {"cyclotomic": entries}}]}],
+    }
+    (b,) = germ_from_dict(doc).branches
+    expected = CyclotomicNumber.zero(6)
+    for q, k in entries:
+        expected = expected + Fraction(q) * zeta(6, k)
+    assert b.terms[0][1] == expected
+    assert expected == Fraction(7, 12) + Fraction(5, 6) * zeta(6) - 2 * zeta(6, 5) + 5 * zeta(6)
+    cancelling = {"cyclotomic": [["1", 1], ["-1", 7]]}
+    doc["branches"][0]["terms"][0]["coeff"] = cancelling
+    with pytest.raises(GermValidationError, match="zero coefficient listed at exponent 2"):
+        germ_from_dict(doc)
+
+
+def test_difference_series_drops_exactly_cancelled_terms():
+    b1 = branch(1, [(2, 1), (5, 1)], truncation=9)
+    b2 = branch(1, [(2, 1), (5, 3), (9, 1)], truncation=9)
+    assert difference_series(b1, b2) == (1, ((5, CyclotomicNumber.from_rational(1, -2)),
+                                              (9, CyclotomicNumber.from_rational(1, -1))))
+    assert difference_series(b1, b1) == (1, ())
+    cusp = branch(2, [(3, 1)], truncation=5)
+    assert difference_series(cusp, conjugate(cusp, 1), 1) == (2, ())
+
+
+def test_difference_series_keeps_terms_past_the_shorter_truncation():
+    cusp = branch(4, [(6, 1)], truncation=6)
+    genus_two = branch(4, [(6, 1), (7, 1)], truncation=7)
+    with pytest.raises(TruncationExceeded):
+        difference_order(cusp, genus_two)
+    assert difference_series(cusp, genus_two) == (4, ((7, CyclotomicNumber.from_rational(4, -1)),))
+
+
+def test_difference_series_is_the_term_by_term_difference_with_the_conjugate():
+    rng = random.Random(2718)
+    for _ in range(30):
+        b1, b2 = _kernel_pair(rng)
+        n = math.lcm(b1.n, b2.n)
+        for k in range(b2.n):
+            expected = {m * (n // b1.n): c for m, c in b1.terms}
+            for m, c in conjugate(b2, k).terms:
+                e = m * (n // b2.n)
+                expected[e] = expected.get(e, CyclotomicNumber.zero(b1.field_order)) - c
+            expected = tuple((e, c) for e, c in sorted(expected.items()) if not c.is_zero())
+            assert difference_series(b1, b2, k) == (n, expected)
+            order = _outcome(difference_order, b1, b2, k)
+            if isinstance(order, Fraction):
+                assert order == Fraction(expected[0][0], n)
