@@ -6,7 +6,9 @@ Commands read germ files in the JSON format documented in
 like "4/5" and decimals appear only in explicitly numeric fields.
 
 Exit codes: 0 success, 2 parse or validation error, 3 truncation
-insufficient, 4 unsupported request.
+insufficient, 4 unsupported request, 5 internal error (a RuntimeError
+from a broken invariant of the library, such as a non-ultrametric
+contact matrix; a bug to report, not a fault of the input).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_TRUNCATION = 3
 EXIT_UNSUPPORTED = 4
+EXIT_INTERNAL = 5
 
 
 class UnsupportedRequest(Exception):
@@ -311,6 +314,9 @@ def main(argv=None) -> int:
         # out-of-range grids, indices, and similar request problems
         _emit_error("unsupported", str(exc), args.json)
         return EXIT_UNSUPPORTED
+    except RuntimeError as exc:
+        _emit_error("internal", str(exc), args.json)
+        return EXIT_INTERNAL
     _emit(payload, args.json)
     return EXIT_OK
 

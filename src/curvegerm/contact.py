@@ -120,6 +120,7 @@ def contact_report(g: CurveGerm) -> ContactReport:
         inter[i][j] = inter[j][i] = _intersection_of(g.branches[i].n, orders)
     return ContactReport(
         r,
-        tuple(tuple(row) for row in cont),
-        tuple(tuple(row) for row in inter),
+        # lists, not generators, for the reason given at PuiseuxBranch.exponents
+        tuple([tuple(row) for row in cont]),
+        tuple([tuple(row) for row in inter]),
     )

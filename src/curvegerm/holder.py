@@ -24,6 +24,13 @@ so comparing trees decides the same question as a search over all r!
 bijections, and the bijection returned is the one such a search finds
 first in lexicographic order.
 
+An obstruction's value depends only on its source values (the two betas,
+or the two contacts), so the classifier lists one obstruction per
+distinct pair of source values, counting the branch pairs that share it;
+a germ has at most r distinct betas and, contact being an ultrametric,
+at most r - 1 distinct contacts, so the list has at most
+1 + r**2 + (r - 1)**2 entries.
+
 All thresholds are exact rationals; the fourth root is applied only at
 presentation time.
 """
@@ -109,18 +116,36 @@ def contact_obstruction(cont1: Fraction, cont2: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class Obstruction:
-    """One member of the obstruction set E, with a human-readable witness."""
+    """One member of the obstruction set E, with its witness.
+
+    ``witness`` names in prose the lexicographically first pair that
+    realises the obstruction; ``first`` and ``second`` give it as branch
+    indices of the first and of the second germ (``(u,)`` and ``(v,)``
+    for characteristic exponents, ``(i, j)`` and ``(u, v)`` for
+    contacts), and ``count`` is how many such pairs share its source
+    values.
+    """
 
     kind: str
     value: Fraction
     witness: str
+    first: tuple[int, ...] = ()
+    second: tuple[int, ...] = ()
+    count: int = 1
 
     def __post_init__(self):
         if not 0 < self.value <= 1:
             raise ValueError(f"obstruction value {self.value} outside (0, 1]")
+        if self.count < 1:
+            raise ValueError(f"obstruction count {self.count} is not positive")
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "value": str(self.value), "witness": self.witness}
+        payload = {"kind": self.kind, "value": str(self.value), "witness": self.witness}
+        if self.kind != KIND_BASELINE:
+            payload["first"] = list(self.first)
+            payload["second"] = list(self.second)
+            payload["count"] = self.count
+        return payload
 
 
 @dataclass(frozen=True)
@@ -231,6 +256,10 @@ def _contact_tree(contact, betas, codes):
         return code[node]
 
     build(list(range(len(betas))))
+    # build reaches itself through its closure cell: emptying the cell
+    # frees it, and the lists it holds, without waiting for the cyclic
+    # garbage collector
+    del build
     return code, paths
 
 
@@ -266,6 +295,20 @@ def _first_matching(tree1, tree2) -> tuple[int, ...]:
     return tuple(sigma)
 
 
+def _groups(items):
+    """Group ``(where, key)`` items by key in one pass.
+
+    Returns ``{key: (first where, count)}`` in order of first
+    appearance, so iterating two such dicts nested visits the key pairs
+    in the order of their first realising pair of positions.
+    """
+    groups: dict = {}
+    for where, key in items:
+        first, count = groups.get(key, (where, 0))
+        groups[key] = (first, count + 1)
+    return groups
+
+
 def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
     """Decide whether the two germs are Holder-distinguishable.
 
@@ -277,8 +320,13 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
     Such a bijection exists iff the two contact trees have equal
     canonical codes; the one returned is the lexicographically first.
     Failing that, the obstruction set is assembled from the baseline,
-    all cross-germ branch obstructions below 1, and all contact
-    obstructions below 1 over pairs of branch pairs.
+    one branch obstruction below 1 per distinct pair (beta in the first
+    germ, beta in the second), and one contact obstruction below 1 per
+    distinct pair (contact in the first germ, contact in the second).
+    Each names the lexicographically first branches, or branch pairs,
+    that realise it and counts all that do; one pass over each germ's
+    branches and branch pairs collects them.  The list is in the order
+    of those first realisations.
     """
     r1, r2 = len(germ1.branches), len(germ2.branches)
     if r1 != r2:
@@ -303,27 +351,39 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
     obstructions = [
         Obstruction(KIND_BASELINE, BASELINE, "always present; keeps the set non-empty")
     ]
-    for u in range(r1):
-        for v in range(r2):
-            value = branch_obstruction(data1[u], data2[v])
+    betas1 = _groups(((u,), d.beta) for u, d in enumerate(data1))
+    betas2 = _groups(((v,), d.beta) for v, d in enumerate(data2))
+    for first, n1 in betas1.values():
+        for second, n2 in betas2.values():
+            value = branch_obstruction(data1[first[0]], data2[second[0]])
             if value < 1:
                 obstructions.append(
                     Obstruction(
                         KIND_CHAR_EXPONENTS,
                         value,
-                        f"branch {u} of the first germ vs branch {v} of the second",
+                        f"branch {first[0]} of the first germ vs branch {second[0]} "
+                        "of the second",
+                        first,
+                        second,
+                        n1 * n2,
                     )
                 )
-    for i, j in itertools.combinations(range(r1), 2):
-        for u, v in itertools.combinations(range(r2), 2):
-            value = contact_obstruction(rep1.contact[i][j], rep2.contact[u][v])
+    pairs = list(itertools.combinations(range(r1), 2))
+    contacts1 = _groups((p, rep1.contact[p[0]][p[1]]) for p in pairs)
+    contacts2 = _groups((p, rep2.contact[p[0]][p[1]]) for p in pairs)
+    for cont1, (first, n1) in contacts1.items():
+        for cont2, (second, n2) in contacts2.items():
+            value = contact_obstruction(cont1, cont2)
             if value < 1:
                 obstructions.append(
                     Obstruction(
                         KIND_CONTACT,
                         value,
-                        f"contact of branches ({i},{j}) in the first germ vs "
-                        f"({u},{v}) in the second",
+                        f"contact of branches ({first[0]},{first[1]}) in the first "
+                        f"germ vs ({second[0]},{second[1]}) in the second",
+                        first,
+                        second,
+                        n1 * n2,
                     )
                 )
     k0 = max(o.value for o in obstructions)

@@ -2,9 +2,13 @@
 
 ``oracle_classify`` decides equivalence by exhaustive search: it tries
 every bijection of branches in lexicographic order and keeps the first
-that carries every beta and every contact over.  ``classify`` must
-return exactly the same verdict on every generated pair: status,
-bijection, k0 and the obstruction tuple in the same order.
+that carries every beta and every contact over.  Its obstructions come
+from enumerating every branch pair and every pair of branch pairs, then
+grouping the entries by (kind, source values): the first entry of a
+group keeps its witness and counts the rest.  ``classify`` must return
+exactly the same verdict on every generated pair: status, bijection, k0
+and the obstruction tuple in the same order, witnesses and counts
+included.
 """
 
 import itertools
@@ -30,6 +34,41 @@ from curvegerm import (
 DEPTH = 4  # even parts use x^1 .. x^DEPTH; odd cusp terms lie beyond them
 
 
+def oracle_entries(germ1, germ2):
+    """Every obstruction below 1 of two germs with as many branches, one
+    per branch pair and one per pair of branch pairs, in enumeration
+    order, each as (kind, source values, value, first, second)."""
+    r = len(germ1.branches)
+    data1 = [characteristic_data(b) for b in germ1.branches]
+    data2 = [characteristic_data(b) for b in germ2.branches]
+    rep1, rep2 = contact_report(germ1), contact_report(germ2)
+    entries = []
+    for u in range(r):
+        for v in range(r):
+            value = branch_obstruction(data1[u], data2[v])
+            if value < 1:
+                source = (data1[u].beta, data2[v].beta)
+                entries.append(("char_exponents", source, value, (u,), (v,)))
+    for i in range(r):
+        for j in range(i + 1, r):
+            for u in range(r):
+                for v in range(u + 1, r):
+                    source = (rep1.contact[i][j], rep2.contact[u][v])
+                    value = contact_obstruction(*source)
+                    if value < 1:
+                        entries.append(("contact", source, value, (i, j), (u, v)))
+    return entries
+
+
+def witness(kind, first, second):
+    if kind == "char_exponents":
+        return f"branch {first[0]} of the first germ vs branch {second[0]} of the second"
+    return (
+        f"contact of branches ({first[0]},{first[1]}) in the first germ vs "
+        f"({second[0]},{second[1]}) in the second"
+    )
+
+
 def oracle_classify(germ1, germ2):
     r1, r2 = len(germ1.branches), len(germ2.branches)
     if r1 != r2:
@@ -49,34 +88,18 @@ def oracle_classify(germ1, germ2):
             for j in range(i + 1, r1)
         ):
             return HolderVerdict(STATUS_EQUIVALENT, matching=tuple(sigma))
+    groups = {}
+    for kind, source, value, first, second in oracle_entries(germ1, germ2):
+        if (kind, source) in groups:
+            groups[kind, source][4] += 1
+        else:
+            groups[kind, source] = [kind, value, first, second, 1]
     obstructions = [
         Obstruction("baseline", BASELINE, "always present; keeps the set non-empty")
+    ] + [
+        Obstruction(kind, value, witness(kind, first, second), first, second, count)
+        for kind, value, first, second, count in groups.values()
     ]
-    for u in range(r1):
-        for v in range(r2):
-            value = branch_obstruction(data1[u], data2[v])
-            if value < 1:
-                obstructions.append(
-                    Obstruction(
-                        "char_exponents",
-                        value,
-                        f"branch {u} of the first germ vs branch {v} of the second",
-                    )
-                )
-    for i in range(r1):
-        for j in range(i + 1, r1):
-            for u in range(r2):
-                for v in range(u + 1, r2):
-                    value = contact_obstruction(rep1.contact[i][j], rep2.contact[u][v])
-                    if value < 1:
-                        obstructions.append(
-                            Obstruction(
-                                "contact",
-                                value,
-                                f"contact of branches ({i},{j}) in the first germ vs "
-                                f"({u},{v}) in the second",
-                            )
-                        )
     k0 = max(o.value for o in obstructions)
     return HolderVerdict(STATUS_DISTINCT, k0=k0, obstructions=tuple(obstructions))
 
@@ -137,6 +160,11 @@ def one_change(rng, specs):
 def assert_same(g1, g2):
     verdict = classify(g1, g2)
     assert verdict == oracle_classify(g1, g2)
+    if verdict.status == STATUS_DISTINCT and len(g1.branches) == len(g2.branches):
+        entries = oracle_entries(g1, g2)
+        for kind in ("char_exponents", "contact"):
+            counted = sum(o.count for o in verdict.obstructions if o.kind == kind)
+            assert counted == sum(1 for e in entries if e[0] == kind)
     return verdict
 
 

@@ -290,6 +290,25 @@ def test_exit_code_4_on_zero_angles(tmp_path, capsys):
     assert payload["message"] == "angles must be at least 1, got 0"
 
 
+def test_exit_code_5_on_an_internal_error(tmp_path, capsys, monkeypatch):
+    from curvegerm import holder
+
+    def broken(*args):
+        raise RuntimeError("contacts are not an ultrametric at branches (0, 1): internal bug")
+
+    monkeypatch.setattr(holder, "_contact_tree", broken)
+    a = write(tmp_path, "a.json", AXIS_AND_PARABOLA)
+    b = write(tmp_path, "b.json", AXIS_AND_CUBIC)
+    code, payload = run_json(capsys, ["classify", a, b])
+    assert code == 5
+    assert payload == {
+        "error_kind": "internal",
+        "message": "contacts are not an ultrametric at branches (0, 1): internal bug",
+    }
+    assert cli.main(["classify", a, b]) == 5
+    assert capsys.readouterr().err.startswith("error (internal): contacts are not")
+
+
 def test_exit_code_4_on_proof_arcs_beyond_the_radius_floor(tmp_path, capsys):
     # 0.5^20 < 1e-6: no x-radius grid fits between the t-radius bound and the floor
     deep = {

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from curvegerm import (
     characteristic_data,
     classify,
     contact_obstruction,
+    contact_report,
     germ,
     lipschitz_normal_form,
     pair_obstruction,
@@ -153,8 +155,16 @@ def test_classify_is_symmetric(classify_corpus):
         assert forward.k0 == backward.k0
         if forward.status == STATUS_EQUIVALENT:
             inverse = tuple(backward.matching.index(i) for i in range(len(backward.matching)))
-            assert classify(g1, g2).matching in (forward.matching,)
             assert sorted(inverse) == list(range(len(inverse)))
+        else:
+            # the compacted certificate read backwards: same entries, the
+            # two germs' witnesses swapped
+            assert len(forward.obstructions) == len(backward.obstructions)
+            assert {
+                (o.kind, o.value, o.count, o.first, o.second) for o in forward.obstructions
+            } == {
+                (o.kind, o.value, o.count, o.second, o.first) for o in backward.obstructions
+            }
 
 
 def test_certified_thresholds_stay_in_the_baseline_window(classify_corpus):
@@ -166,8 +176,6 @@ def test_certified_thresholds_stay_in_the_baseline_window(classify_corpus):
 
 
 def test_equivalent_matching_preserves_the_invariants(classify_corpus):
-    from curvegerm import contact_report
-
     for g1, g2 in itertools.product(classify_corpus, classify_corpus):
         verdict = classify(g1, g2)
         if verdict.status != STATUS_EQUIVALENT:
@@ -215,6 +223,36 @@ def test_classify_has_no_branch_cap():
     assert verdict.matching == tuple(range(49, 1, -1)) + (0, 1)
 
 
+def test_classify_lists_one_obstruction_per_distinct_value_pair():
+    # 30 smooth branches each: contact(i, j) = min(i, j) + 1 against
+    # 2 (min(i, j) + 1), so 435^2 pairs of branch pairs but only 29
+    # distinct contacts per germ
+    r = 30
+    chain = [branch(1, [(k, 1) for k in range(1, i + 1)], truncation=r + 1) for i in range(r)]
+    doubled = [
+        branch(1, [(2 * k, 1) for k in range(1, i + 1)], truncation=2 * r + 1) for i in range(r)
+    ]
+    g1, g2 = germ(chain), germ(doubled)
+    verdict = classify(g1, g2)
+    assert verdict.status == STATUS_DISTINCT
+    assert verdict.k0 == Fraction(29, 30)
+    assert len(verdict.obstructions) <= 1 + r**2 + (r - 1) ** 2
+    # the counts add up to every pair of branch pairs whose contacts differ
+    pairs = list(itertools.combinations(range(r), 2))
+    c1, c2 = contact_report(g1).contact, contact_report(g2).contact
+    n1 = Counter(c1[i][j] for i, j in pairs)
+    n2 = Counter(c2[i][j] for i, j in pairs)
+    differ = len(pairs) ** 2 - sum(n1[c] * n2[c] for c in n1)
+    assert sum(o.count for o in verdict.obstructions if o.kind == "contact") == differ
+    # contact 1 (29 pairs) against 2 (29 pairs), then against 4 (28 pairs)
+    _, one_two, one_four = (o.to_dict() for o in verdict.obstructions[:3])
+    assert one_two["witness"] == (
+        "contact of branches (0,1) in the first germ vs (0,1) in the second"
+    )
+    assert (one_two["first"], one_two["second"], one_two["count"]) == ([0, 1], [0, 1], 841)
+    assert (one_four["first"], one_four["second"], one_four["count"]) == ([0, 1], [1, 2], 812)
+
+
 def test_contact_tree_rejects_a_non_ultrametric_matrix():
     from curvegerm.holder import _contact_tree
 
@@ -235,6 +273,8 @@ def test_verdict_consistency_is_enforced():
         )
     with pytest.raises(ValueError, match="outside"):
         Obstruction("contact", Fraction(3, 2), "too big")
+    with pytest.raises(ValueError, match="count"):
+        Obstruction("contact", Fraction(1, 2), "x", (0, 1), (0, 1), 0)
 
 
 def test_verdict_serialization():
@@ -248,3 +288,6 @@ def test_verdict_serialization():
     assert payload["alpha0"] == "(4/5)^(1/4)"
     assert abs(payload["alpha0_decimal"] - 0.9457416090031758) < 1e-12
     assert "alpha in (0.945742, 1)" in payload["statement"]
+    baseline, cusps = payload["obstructions"]
+    assert set(baseline) == {"kind", "value", "witness"}
+    assert (cusps["first"], cusps["second"], cusps["count"]) == ([0], [0], 1)
