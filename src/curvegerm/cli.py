@@ -8,7 +8,9 @@ like "4/5" and decimals appear only in explicitly numeric fields.
 Exit codes: 0 success, 2 parse or validation error, 3 truncation
 insufficient, 4 unsupported request, 5 internal error (a RuntimeError
 from a broken invariant of the library, such as a non-ultrametric
-contact matrix; a bug to report, not a fault of the input).
+contact matrix, or a ConsistencyError from a result's own check, such
+as an asymmetric contact matrix; a bug to report, not a fault of the
+input).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from curvegerm.metric import (
     witness_arcs,
 )
 from curvegerm.puiseux import (
+    ConsistencyError,
     GermValidationError,
     TruncationExceeded,
     lift_branch,
@@ -310,13 +313,13 @@ def main(argv=None) -> int:
     except UnsupportedRequest as exc:
         _emit_error("unsupported", str(exc), args.json)
         return EXIT_UNSUPPORTED
+    except (ConsistencyError, RuntimeError) as exc:
+        _emit_error("internal", str(exc), args.json)
+        return EXIT_INTERNAL
     except ValueError as exc:
         # out-of-range grids, indices, and similar request problems
         _emit_error("unsupported", str(exc), args.json)
         return EXIT_UNSUPPORTED
-    except RuntimeError as exc:
-        _emit_error("internal", str(exc), args.json)
-        return EXIT_INTERNAL
     _emit(payload, args.json)
     return EXIT_OK
 

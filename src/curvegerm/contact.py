@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from curvegerm.puiseux import (
+    ConsistencyError,
     CurveGerm,
     PuiseuxBranch,
     TruncationExceeded,
@@ -81,17 +82,17 @@ class ContactReport:
         r = self.branch_count
         for name, mat in (("contact", self.contact), ("intersection", self.intersection)):
             if len(mat) != r or any(len(row) != r for row in mat):
-                raise ValueError(f"{name} matrix must be {r}x{r}")
+                raise ConsistencyError(f"{name} matrix must be {r}x{r}")
             for i in range(r):
                 if mat[i][i] is not None:
-                    raise ValueError(f"{name} diagonal must be unset")
+                    raise ConsistencyError(f"{name} diagonal must be unset")
                 for j in range(i + 1, r):
                     if mat[i][j] != mat[j][i]:
-                        raise ValueError(f"{name} matrix must be symmetric")
+                        raise ConsistencyError(f"{name} matrix must be symmetric")
         for i in range(r):
             for j in range(r):
                 if i != j and self.contact[i][j] < 1:
-                    raise ValueError(
+                    raise ConsistencyError(
                         f"contact[{i}][{j}] = {self.contact[i][j]} < 1; "
                         "branches do not share the parametrization form"
                     )

@@ -1,16 +1,21 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_N).
 
-An element of Q(zeta_N) is stored as a coordinate vector over Q in the
-power basis 1, z, ..., z^(phi(N)-1), z = exp(2*pi*i/N), reduced modulo
-the N-th cyclotomic polynomial.  Because the basis is reduced, equality
-and zero tests are plain coefficient comparisons; exact zero testing is
-the primitive that every order-of-vanishing computation in the rest of
-the library leans on.  Multiplicative inverses are never needed
-downstream and are not provided.
+An element of Q(zeta_N) is stored as phi(N) integer numerators over one
+positive common denominator: its coordinates in the power basis
+1, z, ..., z^(phi(N)-1), z = exp(2*pi*i/N), reduced modulo the N-th
+cyclotomic polynomial, are nums[i] / den.  The form is canonical,
+gcd(den, *nums) == 1 (so zero has den == 1), which makes equality and
+zero tests plain integer comparisons; exact zero testing is the
+primitive that every order-of-vanishing computation in the rest of the
+library leans on.  Rationals become ints once, where a value enters
+(the constructor, :meth:`CyclotomicNumber.from_rational` and the parse
+path); arithmetic runs on ints, and the read-only ``coeffs`` gives the
+coordinates back as Fractions.  Multiplicative inverses are never
+needed downstream and are not provided.
 
 All reduction reads one cached int table per order, the power basis
 (Phi_N is monic with integer coefficients).  Multiplying by zeta^j is a
-rotation, :meth:`CyclotomicNumber.rotate`: coordinate c_i moves to row
+rotation, :meth:`CyclotomicNumber.rotate`: numerator nums[i] moves to row
 (i + j) mod N of the table, a unit vector when that index is below phi(N).
 
 Integer polynomials appear only as plumbing and are represented as
@@ -92,11 +97,14 @@ def _power_basis(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
-def _numerators(terms) -> tuple[int, list[tuple[int, int]]]:
-    """The nonzero (k, c) pairs of rationals as (k, int) pairs over their common denominator."""
-    terms = [(k, c) for k, c in terms if c]
-    den = math.lcm(*(c.denominator for _, c in terms))
-    return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms]
+def _canonical(order: int, den: int, nums) -> CyclotomicNumber:
+    """The element with coordinates nums[i] / den, the common factor divided out."""
+    g = math.gcd(den, *nums)
+    number = object.__new__(CyclotomicNumber)
+    number.order = order
+    number.den = den // g
+    number.nums = tuple(nums) if g == 1 else tuple([x // g for x in nums])
+    return number
 
 
 def _over(order: int, den: int, terms) -> CyclotomicNumber:
@@ -105,25 +113,31 @@ def _over(order: int, den: int, terms) -> CyclotomicNumber:
     deg = field_degree(order)
     out = [0] * deg
     for k, c in terms:
-        k %= order
-        if k < deg:
-            out[k] += c
-        else:
-            for i, v in basis[k]:
-                out[i] += c * v
-    number = object.__new__(CyclotomicNumber)  # coordinates already reduced
-    number.order = order
-    number.coeffs = tuple(Fraction(x, den) if x else _ZERO for x in out)
-    return number
+        if c:
+            k %= order
+            if k < deg:
+                out[k] += c
+            else:
+                for i, v in basis[k]:
+                    out[i] += c * v
+    return _canonical(order, den, out)
 
 
 def _reduced(order: int, terms) -> CyclotomicNumber:
-    """Sum of c * zeta^k over the (k, c) pairs, in ints over the c's common denominator."""
-    return _over(order, *_numerators(terms))
+    """Sum of c * zeta^k over the (k, c) pairs of rationals, in ints over
+    the c's common denominator."""
+    terms = [(k, c) for k, c in terms if c]
+    den = math.lcm(*(c.denominator for _, c in terms))
+    return _over(order, den, [(k, c.numerator * (den // c.denominator)) for k, c in terms])
 
 
 class CyclotomicNumber:
     """An element of Q(zeta_N) in the reduced power basis.
+
+    ``nums`` holds phi(N) integer numerators over the positive common
+    denominator ``den``, in canonical form: gcd(den, *nums) == 1, so
+    zero has den == 1 and equal values have equal fields.  ``coeffs``
+    gives the coordinates nums[i] / den as Fractions.
 
     Values are immutable and arithmetic is exact.  Operands must share
     the same order N; use :meth:`lift` to move an element into a larger
@@ -133,23 +147,32 @@ class CyclotomicNumber:
     True
     >>> (zeta(12) ** 6).is_zero()
     False
+    >>> x = CyclotomicNumber(6, ["1/2", "-3/4"])
+    >>> x.den, x.nums
+    (4, (2, -3))
+    >>> x.coeffs == (Fraction(1, 2), Fraction(-3, 4))
+    True
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "den", "nums")
 
     def __init__(self, order: int, coeffs):
         deg = field_degree(order)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != deg:
             raise ValueError(
                 f"Q(zeta_{order}) has degree {deg}, got {len(coeffs)} coordinates"
             )
+        den = math.lcm(*(c.denominator for c in coeffs))
         self.order = order
-        self.coeffs = coeffs
+        self.den = den
+        self.nums = tuple([c.numerator * (den // c.denominator) for c in coeffs])
 
     @classmethod
     def from_rational(cls, order: int, value) -> CyclotomicNumber:
-        return cls(order, (value,) + (0,) * (field_degree(order) - 1))
+        value = Fraction(value)
+        nums = (value.numerator,) + (0,) * (field_degree(order) - 1)
+        return _canonical(order, value.denominator, nums)
 
     @classmethod
     def zero(cls, order: int) -> CyclotomicNumber:
@@ -159,12 +182,18 @@ class CyclotomicNumber:
     def one(cls, order: int) -> CyclotomicNumber:
         return cls.from_rational(order, 1)
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates nums[i] / den as Fractions."""
+        den = self.den
+        return tuple([Fraction(x, den) if x else _ZERO for x in self.nums])
+
     def is_zero(self) -> bool:
         """Exact zero test; valid because coordinates are reduced."""
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def _coerced(self, other):
         if isinstance(other, (int, Fraction)):
@@ -178,11 +207,19 @@ class CyclotomicNumber:
             return other
         return None
 
+    def _combined(self, other, sign: int) -> CyclotomicNumber:
+        """self + sign * other over the lcm of the two denominators."""
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        return _canonical(
+            self.order, den, [x * fa + y * fb for x, y in zip(self.nums, other.nums)]
+        )
+
     def __add__(self, other):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return CyclotomicNumber(self.order, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combined(other, 1)
 
     __radd__ = __add__
 
@@ -190,7 +227,7 @@ class CyclotomicNumber:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return CyclotomicNumber(self.order, (a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combined(other, -1)
 
     def __rsub__(self, other):
         other = self._coerced(other)
@@ -199,21 +236,24 @@ class CyclotomicNumber:
         return other - self
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, (-c for c in self.coeffs))
+        return _canonical(self.order, self.den, [-x for x in self.nums])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber(self.order, (c * other for c in self.coeffs))
+            return _canonical(
+                self.order, self.den * other.denominator,
+                [x * other.numerator for x in self.nums],
+            )
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        da, xs = _numerators(enumerate(self.coeffs))
-        db, ys = _numerators(enumerate(other.coeffs))
-        product = [0] * (2 * len(self.coeffs) - 1)
+        xs = [(i, x) for i, x in enumerate(self.nums) if x]
+        ys = [(j, y) for j, y in enumerate(other.nums) if y]
+        product = [0] * (2 * len(self.nums) - 1)
         for i, x in xs:
             for j, y in ys:
                 product[i + j] += x * y
-        return _over(self.order, da * db, [(k, c) for k, c in enumerate(product) if c])
+        return _over(self.order, self.den * other.den, enumerate(product))
 
     __rmul__ = __mul__
 
@@ -229,21 +269,25 @@ class CyclotomicNumber:
         return result
 
     def __eq__(self, other):
-        coerced = self._coerced(other) if isinstance(other, (int, Fraction)) else other
-        if not isinstance(coerced, CyclotomicNumber):
+        if isinstance(other, (int, Fraction)):
+            other = CyclotomicNumber.from_rational(self.order, other)
+        elif not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        return self.order == coerced.order and self.coeffs == coerced.coeffs
+        return (
+            self.order == other.order and self.den == other.den and self.nums == other.nums
+        )
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.den, self.nums))
 
     def to_complex(self) -> complex:
         """Numerical value; coordinates are summed in ascending power order."""
         w = 2j * cmath.pi / self.order
+        den = self.den
         total = 0j
-        for j, c in enumerate(self.coeffs):
+        for j, c in enumerate(self.nums):
             if c:
-                total += float(c) * cmath.exp(w * j)
+                total += c / den * cmath.exp(w * j)
         return total
 
     def lift(self, order: int) -> CyclotomicNumber:
@@ -255,11 +299,11 @@ class CyclotomicNumber:
                 f"cannot lift from order {self.order} to non-multiple {order}"
             )
         step = order // self.order
-        return _reduced(order, ((j * step, c) for j, c in enumerate(self.coeffs)))
+        return _over(order, self.den, zip(range(0, step * len(self.nums), step), self.nums))
 
     def rotate(self, power: int) -> CyclotomicNumber:
         """The product zeta^power * self, formed without a general multiplication."""
-        return _reduced(self.order, ((i + power, c) for i, c in enumerate(self.coeffs)))
+        return _over(self.order, self.den, zip(range(power, power + len(self.nums)), self.nums))
 
     def __str__(self):
         parts = []
@@ -286,4 +330,4 @@ def zeta(order: int, power: int = 1) -> CyclotomicNumber:
     >>> zeta(6, 3) == -1
     True
     """
-    return _reduced(order, ((power, 1),))
+    return _over(order, 1, ((power, 1),))

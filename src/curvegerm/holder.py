@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from curvegerm.contact import contact_report
 from curvegerm.invariants import CharacteristicData, characteristic_data
-from curvegerm.puiseux import CurveGerm
+from curvegerm.puiseux import ConsistencyError, CurveGerm
 
 STATUS_EQUIVALENT = "equivalent_invariants"
 STATUS_DISTINCT = "certified_distinct"
@@ -135,9 +135,9 @@ class Obstruction:
 
     def __post_init__(self):
         if not 0 < self.value <= 1:
-            raise ValueError(f"obstruction value {self.value} outside (0, 1]")
+            raise ConsistencyError(f"obstruction value {self.value} outside (0, 1]")
         if self.count < 1:
-            raise ValueError(f"obstruction count {self.count} is not positive")
+            raise ConsistencyError(f"obstruction count {self.count} is not positive")
 
     def to_dict(self) -> dict:
         payload = {"kind": self.kind, "value": str(self.value), "witness": self.witness}
@@ -166,13 +166,13 @@ class HolderVerdict:
     def __post_init__(self):
         if self.status == STATUS_EQUIVALENT:
             if self.matching is None:
-                raise ValueError("equivalent verdict needs the branch bijection")
+                raise ConsistencyError("equivalent verdict needs the branch bijection")
         elif self.status == STATUS_DISTINCT:
             values = [o.value for o in self.obstructions]
             if not values or self.k0 != max(values) or not self.k0 < 1:
-                raise ValueError("distinct verdict needs k0 = max obstruction < 1")
+                raise ConsistencyError("distinct verdict needs k0 = max obstruction < 1")
         else:
-            raise ValueError(f"unknown status {self.status!r}")
+            raise ConsistencyError(f"unknown status {self.status!r}")
 
     @property
     def alpha0(self) -> float | None:

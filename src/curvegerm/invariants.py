@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from curvegerm.puiseux import PuiseuxBranch, TruncationExceeded
+from curvegerm.puiseux import ConsistencyError, PuiseuxBranch, TruncationExceeded
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class CharacteristicData:
             )
         ok = ok and math.prod(nn for _, nn in self.pairs) == self.beta[0]
         if not ok:
-            raise ValueError(f"inconsistent characteristic data: {self}")
+            raise ConsistencyError(f"inconsistent characteristic data: {self}")
 
 
 def characteristic_data(b: PuiseuxBranch) -> CharacteristicData:

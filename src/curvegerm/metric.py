@@ -37,6 +37,9 @@ DEFAULT_ANGLES = 64
 #: Fewest radii a contact estimate fits a slope through.
 _FIT_POINTS = 8
 
+#: Smallest normal double; a gap below it has underflowed.
+_GAP_FLOOR = float(np.finfo(float).tiny)
+
 
 def geometric_grid(r_max: float = 1e-1, r_min: float = 1e-4, count: int = 16) -> np.ndarray:
     """Strictly decreasing geometric radius grid from r_max down to r_min."""
@@ -161,7 +164,9 @@ def branch_gap_profile(
     the n1*angles values s = r^(1/n) * exp(2*pi*i*m/(n*angles)) lie over
     every x of the sweep, with sheet m // angles of b1 against sheet
     m // angles + k of b2.  Raises ValueError when some conjugate pair
-    agrees in every known term, since its gap is zero at every radius.
+    agrees in every known term, since its gap is zero at every radius,
+    and when a gap underflows the smallest normal double, naming the
+    first radius where it does.
     """
     if angles < 1:
         raise ValueError(f"angles must be at least 1, got {angles}")
@@ -184,6 +189,13 @@ def branch_gap_profile(
             )
         dy = sum(d.to_complex() * s**e for e, d in terms)
         gaps = np.minimum(gaps, np.abs(dy).min(axis=0))
+    low = np.flatnonzero(gaps < _GAP_FLOOR)
+    if low.size:
+        raise ValueError(
+            f"the gap at r = {radii[low[0]]:.6g} underflows double precision: it is "
+            f"{gaps[low[0]]:.6g}, below the floor {_GAP_FLOOR:.6g}; the branches agree "
+            "too closely to resolve at this radius, so use larger radii"
+        )
     return gaps
 
 

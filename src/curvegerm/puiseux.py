@@ -29,6 +29,11 @@ class GermValidationError(ValueError):
     """The input does not describe a valid reduced germ."""
 
 
+class ConsistencyError(ValueError):
+    """A result failed the library's own consistency check: a bug to
+    report, not a fault of the input."""
+
+
 class TruncationExceeded(Exception):
     """A computation is inconclusive within the known terms.
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from curvegerm import cli
+from curvegerm import CharacteristicData, ContactReport, HolderVerdict, STATUS_DISTINCT, cli
+from curvegerm.puiseux import ConsistencyError
 
 CUSP25 = {
     "branches": [
@@ -176,6 +177,35 @@ def test_estimate_of_a_file_against_itself_names_the_conjugate(capsys):
     )
 
 
+def test_estimate_of_an_underflowing_gap_names_the_radius(tmp_path, capsys):
+    parabola = {
+        "branches": [
+            {"n": 1, "truncation": 200, "terms": [{"exp": 2, "coeff": {"rational": "1"}}]}
+        ]
+    }
+    close = {
+        "branches": [
+            {
+                "n": 1,
+                "truncation": 200,
+                "terms": [
+                    {"exp": 2, "coeff": {"rational": "1"}},
+                    {"exp": 100, "coeff": {"rational": "1"}},
+                ],
+            }
+        ]
+    }
+    a = write(tmp_path, "a.json", parabola)
+    b = write(tmp_path, "b.json", close)
+    code, payload = run_json(capsys, ["estimate", a, b])
+    assert code == 4
+    assert payload["error_kind"] == "unsupported"
+    assert payload["message"].startswith(
+        "the gap at r = 0.000630957 underflows double precision"
+    )
+    assert "below the floor 2.22507e-308" in payload["message"]
+
+
 def test_proof_arcs_command(tmp_path, capsys):
     path = write(tmp_path, "g.json", CUSP25)
     code, payload = run_json(capsys, ["proof-arcs", path, "--branch", "0", "--index", "1"])
@@ -307,6 +337,33 @@ def test_exit_code_5_on_an_internal_error(tmp_path, capsys, monkeypatch):
     }
     assert cli.main(["classify", a, b]) == 5
     assert capsys.readouterr().err.startswith("error (internal): contacts are not")
+
+
+@pytest.mark.parametrize(
+    "command, name, broken, message",
+    [
+        ("invariants", "characteristic_data",
+         lambda b: CharacteristicData((2,), (1,), (), 0),
+         "inconsistent characteristic data: CharacteristicData(beta=(2,), e=(1,), "
+         "pairs=(), genus=0)"),
+        ("contact", "contact_report",
+         lambda g: ContactReport(2, ((None, 1), (2, None)), ((None, 1), (1, None))),
+         "contact matrix must be symmetric"),
+        ("classify", "classify",
+         lambda g1, g2: HolderVerdict(STATUS_DISTINCT, k0=Fraction(1)),
+         "distinct verdict needs k0 = max obstruction < 1"),
+    ],
+)
+def test_exit_code_5_on_a_failed_consistency_check(tmp_path, capsys, monkeypatch,
+                                                   command, name, broken, message):
+    # a library result that fails its own check is a bug, not a bad request
+    monkeypatch.setattr(cli, name, broken)
+    path = write(tmp_path, "g.json", AXIS_AND_PARABOLA)
+    argv = [command, path] + ([path] if command == "classify" else [])
+    code, payload = run_json(capsys, argv)
+    assert code == 5
+    assert payload == {"error_kind": "internal", "message": message}
+    assert issubclass(ConsistencyError, ValueError)
 
 
 def test_exit_code_4_on_proof_arcs_beyond_the_radius_floor(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import cmath
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -262,3 +265,213 @@ def test_integer_product_matches_the_fraction_product():
             assert abs(product.to_complex() - a.to_complex() * b.to_complex()) < 1e-6 * (
                 1 + abs(a.to_complex() * b.to_complex())
             )
+
+
+# --- differential test against a test-only Fraction reference ------------
+
+
+def ref_reduce(order, poly):
+    """Power-basis coordinates of sum poly[k] * z^k as Fractions, by long
+    division by the monic Phi_N."""
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    poly = [Fraction(c) for c in poly] + [Fraction(0)] * max(0, deg - len(poly))
+    for top in range(len(poly) - 1, deg - 1, -1):
+        c = poly[top]
+        if c:
+            for i, p in enumerate(phi):
+                if p:
+                    poly[top - deg + i] -= c * p
+    return tuple(poly[:deg])
+
+
+def ref_times_z(order, coeffs):
+    """z * v: shift up, then replace z^phi by -(Phi_N - z^phi)."""
+    phi = cyclotomic_polynomial(order)
+    top = coeffs[-1]
+    return tuple(c - top * p if p else c for c, p in zip((Fraction(0),) + coeffs[:-1], phi))
+
+
+def ref_over_z(order, coeffs):
+    """v / z: shift down, with z^-1 = -(Phi_N(z) - Phi_N(0)) / (z * Phi_N(0))."""
+    phi = cyclotomic_polynomial(order)
+    low = coeffs[0]
+    shifted = coeffs[1:] + (Fraction(0),)
+    return tuple(c - low * p / phi[0] if p else c for c, p in zip(shifted, phi[1:]))
+
+
+def ref_str(coeffs):
+    parts = []
+    for j, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mag = abs(c)
+        body = str(mag) if j == 0 else ("z" if j == 1 else f"z^{j}")
+        if j and mag != 1:
+            body = f"{mag}*{body}"
+        sign = "-" if c < 0 else ("+" if parts else "")
+        parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
+    return " ".join(parts) if parts else "0"
+
+
+def ref_complex(order, coeffs):
+    w = 2j * cmath.pi / order
+    total = 0j
+    for j, c in enumerate(coeffs):
+        if c:
+            total += float(c) * cmath.exp(w * j)
+    return total
+
+
+class Ref:
+    """One Fraction per coordinate: the representation the kernel replaced."""
+
+    def __init__(self, order, coeffs):
+        self.order, self.coeffs = order, tuple(Fraction(c) for c in coeffs)
+
+    def __add__(self, other):
+        return Ref(self.order, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        return Ref(self.order, (a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return Ref(self.order, (-c for c in self.coeffs))
+
+    def scaled(self, q):
+        return Ref(self.order, (c * q for c in self.coeffs))
+
+    def __mul__(self, other):
+        # fraction_product without the steps on zero coordinates
+        poly = [Fraction(0)] * (2 * len(self.coeffs) - 1)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
+                if x and y:
+                    poly[i + j] += x * y
+        return Ref(self.order, ref_reduce(self.order, poly))
+
+    def __pow__(self, exponent):
+        result = Ref(self.order, ref_reduce(self.order, [1]))
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def lift(self, order):
+        step = order // self.order
+        poly = [0] * ((len(self.coeffs) - 1) * step + 1)
+        poly[::step] = self.coeffs
+        return Ref(order, ref_reduce(order, poly))
+
+
+def assert_canonical(x):
+    assert type(x.den) is int and x.den > 0
+    assert len(x.nums) == field_degree(x.order)
+    assert all(type(c) is int for c in x.nums)
+    assert math.gcd(x.den, *x.nums) == 1
+    if not any(x.nums):
+        assert x.den == 1
+
+
+def assert_matches(x, ref):
+    assert_canonical(x)
+    assert x.order == ref.order
+    assert x.coeffs == ref.coeffs
+    assert all(type(c) is Fraction for c in x.coeffs)
+    assert x.is_zero() == all(c == 0 for c in ref.coeffs)
+    assert x.is_rational() == all(c == 0 for c in ref.coeffs[1:])
+    assert x.to_complex() == ref_complex(ref.order, ref.coeffs)
+    assert str(x) == ref_str(ref.coeffs)
+
+
+def _kernel_inputs(rng, order):
+    deg = field_degree(order)
+    support = set(rng.sample(range(deg), min(deg, 3)))
+    sparse = [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12)) if i in support else 0
+              for i in range(deg)]
+    dense = [Fraction(rng.randint(-1000, 1000), rng.randint(1, 12)) for _ in range(deg)]
+    integral = [rng.randint(-5, 5) for _ in range(deg)]
+    return [dense, sparse, integral, [0] * deg]
+
+
+def _low_inputs(order):
+    """A rational, and a rational plus a multiple of z: nonzero only in the
+    coordinates that is_rational reads first."""
+    deg = field_degree(order)
+    return [[Fraction(5, 3)] + [0] * (deg - 1)] + (
+        [[Fraction(5, 3), Fraction(-1, 2)] + [0] * (deg - 2)] if deg > 1 else [])
+
+
+@pytest.mark.parametrize("order", [1, 2, 12, 210, 420])
+def test_kernel_matches_the_fraction_reference(order):
+    rng = random.Random(order * 7919 + 3)
+    coords = _kernel_inputs(rng, order)
+    xs = [CyclotomicNumber(order, c) for c in coords]
+    refs = [Ref(order, c) for c in coords]
+    for low in _low_inputs(order):
+        assert_matches(CyclotomicNumber(order, low), Ref(order, low))
+    for x, ref in zip(xs, refs):
+        assert_matches(x, ref)
+        assert_matches(-x, -ref)
+        for q in (3, -2, 0, Fraction(-5, 6), Fraction(7, 4)):
+            assert_matches(x * q, ref.scaled(q))
+            assert_matches(q * x, ref.scaled(q))
+    # the reference product takes phi^2 Fraction steps: in the large fields
+    # every product has a sparse or a zero factor
+    cheap = {(0, 1), (1, 1), (2, 1), (0, 3)}
+    for (i, a, ra), (j, b, rb) in itertools.product(zip(range(4), xs, refs), repeat=2):
+        assert_matches(a + b, ra + rb)
+        assert_matches(a - b, ra - rb)
+        if order <= 12 or (i, j) in cheap:
+            assert_matches(a * b, ra * rb)
+    for exponent in (0, 1, 2, 5):
+        assert_matches(xs[1] ** exponent, refs[1] ** exponent)
+    for target in (order, 2 * order, 420 if 420 % order == 0 else order):
+        for x, ref in zip(xs, refs):
+            assert_matches(x.lift(target), ref.lift(target))
+    # every rotation j in [-N, 2N) of the dense element, the reference
+    # walking one factor of z at a time
+    up = down = refs[0].coeffs
+    for j in range(2 * order):
+        rotated = xs[0].rotate(j)
+        assert_canonical(rotated)
+        assert rotated.coeffs == up, (order, j)
+        up = ref_times_z(order, up)
+    for j in range(-1, -order - 1, -1):
+        down = ref_over_z(order, down)
+        rotated = xs[0].rotate(j)
+        assert_canonical(rotated)
+        assert rotated.coeffs == down, (order, j)
+
+
+@pytest.mark.parametrize("order", [1, 2, 12, 210, 420])
+def test_equal_values_from_different_paths_are_equal_and_hash_equal(order):
+    rng = random.Random(order)
+    for coords in _kernel_inputs(rng, order):
+        x = CyclotomicNumber(order, coords)
+        twins = [
+            (x + x) * Fraction(1, 2),
+            x * 6 * Fraction(1, 6),
+            x - CyclotomicNumber.zero(order),
+        ]
+        j = rng.randint(-order, 2 * order)
+        twins.append(x.rotate(j).rotate(-j))
+        twins.append(x.lift(2 * order).lift(4 * order).rotate(4 * order))
+        for twin in twins[:-1]:
+            assert twin == x and hash(twin) == hash(x)
+            assert (twin.den, twin.nums) == (x.den, x.nums)
+        lifted = twins[-1]
+        assert lifted == CyclotomicNumber(4 * order, Ref(order, coords).lift(4 * order).coeffs)
+        assert hash(lifted) == hash(x.lift(4 * order))
+        if not x.is_zero():
+            # same numerators over another denominator, or shifted: other values
+            assert x * 2 != x and x + 1 != x and x.lift(2 * order) != x
+        zero = x - x
+        assert zero == CyclotomicNumber.zero(order)
+        assert hash(zero) == hash(CyclotomicNumber.zero(order))
+        assert zero.den == 1 and zero.is_zero()
+    halves = CyclotomicNumber(12, ["2/4", Fraction(6, 4), 0, "-2/4"])
+    assert halves == CyclotomicNumber(12, [1, 3, 0, -1]) * Fraction(1, 2)
+    assert hash(halves) == hash(CyclotomicNumber(12, [1, 3, 0, -1]) * Fraction(1, 2))
+    half = CyclotomicNumber(12, ["2/4", 0, 0, 0])
+    assert half == Fraction(1, 2) and hash(half) == hash(CyclotomicNumber.from_rational(12, "1/2"))
+    assert zeta(6).lift(12) == zeta(12, 2) and hash(zeta(6).lift(12)) == hash(zeta(12, 2))

@@ -22,6 +22,7 @@ from curvegerm import (
     lipschitz_normal_form,
     pair_obstruction,
 )
+from curvegerm.puiseux import ConsistencyError
 
 
 def data_of(*spec, n):
@@ -275,6 +276,8 @@ def test_verdict_consistency_is_enforced():
         Obstruction("contact", Fraction(3, 2), "too big")
     with pytest.raises(ValueError, match="count"):
         Obstruction("contact", Fraction(1, 2), "x", (0, 1), (0, 1), 0)
+    with pytest.raises(ConsistencyError, match="unknown status"):
+        HolderVerdict("undecided")
 
 
 def test_verdict_serialization():

@@ -188,6 +188,23 @@ def test_zero_gap_names_the_conjugate():
     assert np.all(branch_gap_profile(cusp, longer, default_branch_grid(cusp)) > 0)
 
 
+def test_underflowed_gap_names_the_radius_and_the_floor():
+    # x^100 at r = 10^-3.2 is 1e-320, a subnormal double, and 0.0 below it
+    parabola = branch(1, [(2, 1)], truncation=200)
+    other = branch(1, [(2, 1), (100, 1)], truncation=200)
+    grid = default_branch_grid(parabola, other)
+    first = grid[np.flatnonzero(grid**100 < np.finfo(float).tiny)[0]]
+    message = (
+        f"the gap at r = {first:.6g} underflows double precision: it is .* below the "
+        f"floor {np.finfo(float).tiny:.6g}"
+    )
+    with pytest.raises(ValueError, match=message):
+        estimate_branch_contact(parabola, other)
+    with pytest.raises(ValueError, match=message):
+        branch_gap_profile(parabola, other, grid)
+    assert np.all(branch_gap_profile(parabola, other, grid[grid > 0.01]) > 0)
+
+
 def test_branch_gap_profile_keeps_terms_past_the_shorter_truncation():
     # difference_order stops at x^(3/2), the end of the cusp's known terms
     cusp = load_germ(DEMO_DATA / "cusp_2_3.json").branches[0]

@@ -1,0 +1,109 @@
+"""Properties the mathematics guarantees, checked on seeded random germs.
+
+The germs come from ``random_germ`` in conftest.py: mixed multiplicities,
+cyclotomic coefficients, and truncations that decide every comparison.
+"""
+
+import itertools
+import json
+import random
+
+from curvegerm import (
+    BASELINE,
+    STATUS_DISTINCT,
+    STATUS_EQUIVALENT,
+    characteristic_data,
+    classify,
+    conjugate,
+    contact_report,
+    germ,
+    germ_from_dict,
+    germ_to_dict,
+    lipschitz_normal_form,
+)
+
+
+def _entries(verdict):
+    return sorted((o.kind, o.value, o.count) for o in verdict.obstructions)
+
+
+def _assert_matching_carries_the_invariants(verdict, g1, g2):
+    sigma = verdict.matching
+    assert sorted(sigma) == list(range(len(g1.branches)))
+    betas1 = [characteristic_data(b).beta for b in g1.branches]
+    betas2 = [characteristic_data(b).beta for b in g2.branches]
+    c1, c2 = contact_report(g1).contact, contact_report(g2).contact
+    for i, u in enumerate(sigma):
+        assert betas1[i] == betas2[u]
+        for j, v in enumerate(sigma):
+            assert c1[i][j] == c2[u][v]
+
+
+def test_contact_is_the_constructed_ultrametric(generated_germs):
+    for _, g, expected in generated_germs:
+        c = contact_report(g).contact
+        assert [list(row) for row in c] == expected
+        for i, j, k in itertools.permutations(range(len(g.branches)), 3):
+            assert c[i][k] >= min(c[i][j], c[j][k])
+
+
+def test_classify_is_symmetric_with_k0_in_the_baseline_window(generated_germs):
+    germs = [g for _, g, _ in generated_germs]
+    statuses = set()
+    for g1, g2 in itertools.combinations(germs, 2):
+        forward, backward = classify(g1, g2), classify(g2, g1)
+        assert forward.status == backward.status
+        assert forward.k0 == backward.k0
+        statuses.add(forward.status)
+        if forward.status == STATUS_DISTINCT:
+            assert BASELINE <= forward.k0 < 1
+            assert {(o.kind, o.value, o.count, o.first, o.second)
+                    for o in forward.obstructions} == {
+                (o.kind, o.value, o.count, o.second, o.first) for o in backward.obstructions}
+        else:
+            _assert_matching_carries_the_invariants(forward, g1, g2)
+            _assert_matching_carries_the_invariants(backward, g2, g1)
+    assert statuses == {STATUS_DISTINCT, STATUS_EQUIVALENT}
+
+
+def test_germs_of_one_shape_have_equivalent_invariants(generated_germs):
+    by_shape = {}
+    for seed, g, _ in generated_germs:
+        by_shape.setdefault(seed, []).append(g)
+    twins = [gs for gs in by_shape.values() if len(gs) == 2]
+    assert len(twins) == 20
+    for g1, g2 in twins:
+        assert g1 != g2
+        verdict = classify(g1, g2)
+        assert verdict.status == STATUS_EQUIVALENT
+        _assert_matching_carries_the_invariants(verdict, g1, g2)
+
+
+def test_verdicts_do_not_change_under_reordering_or_conjugation(generated_germs):
+    rng = random.Random(11)
+    germs = [g for _, g, _ in generated_germs]
+    for g1, g2 in zip(germs, germs[1:] + germs[:1]):
+        verdict = classify(g1, g2)
+        order = rng.sample(range(len(g1.branches)), len(g1.branches))
+        shuffled = germ([g1.branches[i] for i in order])
+        moved = classify(shuffled, g2)
+        assert (moved.status, moved.k0) == (verdict.status, verdict.k0)
+        assert _entries(moved) == _entries(verdict)
+        if moved.status == STATUS_EQUIVALENT:
+            _assert_matching_carries_the_invariants(moved, shuffled, g2)
+        # a conjugate parametrizes the same branch: nothing may change
+        turned = germ([conjugate(b, rng.randrange(b.n)) for b in g1.branches])
+        assert classify(turned, g2) == verdict
+        assert classify(g2, turned) == classify(g2, g1)
+        # the normal form moves contacts, so it keeps verdicts of one branch only
+        if len(g1.branches) == 1:
+            normal = germ([lipschitz_normal_form(g1.branches[0])])
+            assert classify(normal, g2) == verdict
+
+
+def test_germ_files_round_trip(generated_germs):
+    for _, g, _ in generated_germs:
+        doc = germ_to_dict(g)
+        assert germ_from_dict(doc) == g
+        assert germ_from_dict(json.loads(json.dumps(doc))) == g
+        assert germ_to_dict(germ_from_dict(doc)) == doc
