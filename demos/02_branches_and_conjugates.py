@@ -45,7 +45,7 @@ print(
 print(
     "different multiplicities rescale to a common parameter:",
     difference_order(
-        branch(1, [(1, 1)], truncation=8, field_order=2),
+        branch(1, [(1, 1)], truncation=8),
         branch(2, [(3, 1)], truncation=8),
     ),
 )

@@ -23,9 +23,9 @@ from curvegerm import (
 
 DATA = Path(__file__).parent / "data"
 
-axis = branch(1, [], truncation=32, field_order=2)
-cusp3 = branch(2, [(3, 1)], truncation=12, field_order=2)
-cusp5 = branch(2, [(5, 1)], truncation=12, field_order=2)
+axis = branch(1, [], truncation=32)
+cusp3 = branch(2, [(3, 1)], truncation=12)
+cusp5 = branch(2, [(5, 1)], truncation=12)
 
 print("== two-branch invariants ==")
 print("contact(y=0, y^2=x^3):      ", contact(axis, cusp3))

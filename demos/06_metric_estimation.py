@@ -23,16 +23,16 @@ from curvegerm import (
 )
 
 
-def axis(field_order=1):
-    return branch(1, [], truncation=32, field_order=field_order)
+def axis():
+    return branch(1, [], truncation=32)
 
 
 print("== numeric vs exact contact ==")
 pairs = [
     ("y=x vs y=-x", branch(1, [(1, 1)], truncation=8), branch(1, [(1, -1)], truncation=8)),
-    ("y=0 vs y^2=x^3", axis(2), branch(2, [(3, 1)], truncation=8)),
+    ("y=0 vs y^2=x^3", axis(), branch(2, [(3, 1)], truncation=8)),
     ("y=0 vs y=x^2", axis(), branch(1, [(2, 1)], truncation=8)),
-    ("y=0 vs y^2=x^5", axis(2), branch(2, [(5, 1)], truncation=8)),
+    ("y=0 vs y^2=x^5", axis(), branch(2, [(5, 1)], truncation=8)),
     ("y=0 vs y=x^3", axis(), branch(1, [(3, 1)], truncation=8)),
 ]
 grid = geometric_grid(1e-1, 1e-4, 16)

@@ -64,7 +64,6 @@ from curvegerm.puiseux import (
     germ,
     germ_from_dict,
     germ_to_dict,
-    lift_branch,
     load_germ,
     parse_germ,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "germ_from_dict",
     "germ_to_dict",
     "intersection_multiplicity",
-    "lift_branch",
     "lipschitz_normal_form",
     "load_germ",
     "pair_obstruction",

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -42,7 +41,6 @@ from curvegerm.puiseux import (
     ConsistencyError,
     GermValidationError,
     TruncationExceeded,
-    lift_branch,
     load_germ,
 )
 
@@ -113,8 +111,6 @@ def _write_csv(path, radii, gaps, header=("r", "gap")):
 def _cmd_estimate(args) -> dict:
     b1 = _single_branch(load_germ(args.file_a), args.file_a)
     b2 = _single_branch(load_germ(args.file_b), args.file_b)
-    order = math.lcm(b1.field_order, b2.field_order)
-    b1, b2 = lift_branch(b1, order), lift_branch(b2, order)
     radii = args.grid if args.grid is not None else default_branch_grid(b1, b2)
     estimate = estimate_branch_contact(b1, b2, radii, angles=args.angles)
     if args.csv:

@@ -45,6 +45,12 @@ def contact(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
     Raises TruncationExceeded when any conjugate comparison is
     inconclusive, since the true maximum might then be hidden beyond the
     truncation.
+
+    Branches from different fields are compared in the lcm of the two:
+
+    >>> from curvegerm import branch, zeta
+    >>> contact(branch(2, [(4, 1), (5, 1)]), branch(3, [(6, 1), (7, zeta(3))]))
+    Fraction(7, 3)
     """
     orders = difference_orders(b1, b2)
     values = [v for v in orders if isinstance(v, Fraction)]
@@ -107,6 +113,15 @@ class ContactReport:
         }
 
 
+def _contacts(g: CurveGerm) -> list:
+    """The contact matrix as lists, read as the max of each stored sweep."""
+    r = len(g.branches)
+    cont: list[list[Fraction | None]] = [[None] * r for _ in range(r)]
+    for (i, j), orders in g._sweeps.items():
+        cont[i][j] = cont[j][i] = max(orders)
+    return cont
+
+
 def contact_report(g: CurveGerm) -> ContactReport:
     """Fill both pairwise matrices for all distinct branch pairs of the germ.
 
@@ -114,14 +129,12 @@ def contact_report(g: CurveGerm) -> ContactReport:
     is exact, so no pair is compared again.
     """
     r = len(g.branches)
-    cont: list[list[Fraction | None]] = [[None] * r for _ in range(r)]
     inter: list[list[int | None]] = [[None] * r for _ in range(r)]
     for (i, j), orders in g._sweeps.items():
-        cont[i][j] = cont[j][i] = max(orders)
         inter[i][j] = inter[j][i] = _intersection_of(g.branches[i].n, orders)
     return ContactReport(
         r,
         # lists, not generators, for the reason given at PuiseuxBranch.exponents
-        tuple([tuple(row) for row in cont]),
+        tuple([tuple(row) for row in _contacts(g)]),
         tuple([tuple(row) for row in inter]),
     )

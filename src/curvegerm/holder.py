@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from curvegerm.contact import contact_report
+from curvegerm.contact import _contacts
 from curvegerm.invariants import CharacteristicData, characteristic_data
 from curvegerm.puiseux import ConsistencyError, CurveGerm
 
@@ -339,12 +339,11 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
 
     data1 = [characteristic_data(b) for b in germ1.branches]
     data2 = [characteristic_data(b) for b in germ2.branches]
-    rep1 = contact_report(germ1)
-    rep2 = contact_report(germ2)
+    matrix1, matrix2 = _contacts(germ1), _contacts(germ2)
 
     codes: dict = {}
-    tree1 = _contact_tree(rep1.contact, [d.beta for d in data1], codes)
-    tree2 = _contact_tree(rep2.contact, [d.beta for d in data2], codes)
+    tree1 = _contact_tree(matrix1, [d.beta for d in data1], codes)
+    tree2 = _contact_tree(matrix2, [d.beta for d in data2], codes)
     if tree1[0][0] == tree2[0][0]:
         return HolderVerdict(STATUS_EQUIVALENT, matching=_first_matching(tree1, tree2))
 
@@ -369,8 +368,8 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
                     )
                 )
     pairs = list(itertools.combinations(range(r1), 2))
-    contacts1 = _groups((p, rep1.contact[p[0]][p[1]]) for p in pairs)
-    contacts2 = _groups((p, rep2.contact[p[0]][p[1]]) for p in pairs)
+    contacts1 = _groups((p, matrix1[p[0]][p[1]]) for p in pairs)
+    contacts2 = _groups((p, matrix2[p[0]][p[1]]) for p in pairs)
     for cont1, (first, n1) in contacts1.items():
         for cont2, (second, n2) in contacts2.items():
             value = contact_obstruction(cont1, cont2)

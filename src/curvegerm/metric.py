@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from curvegerm.invariants import characteristic_data
-from curvegerm.puiseux import PuiseuxBranch, conjugate, difference_series, lift_branch
+from curvegerm.puiseux import PuiseuxBranch, conjugate, difference_series
 
 #: Radii below this are dropped from default grids.
 DEFAULT_MIN_RADIUS = 1e-6
@@ -173,8 +173,6 @@ def branch_gap_profile(
     radii = np.asarray(radii, dtype=float)
     for b in (b1, b2):
         _validate_t_grid(radii ** (1.0 / b.n))
-    order = math.lcm(b1.field_order, b2.field_order)
-    b1, b2 = lift_branch(b1, order), lift_branch(b2, order)
     n = math.lcm(b1.n, b2.n)
     phases = np.exp(2j * math.pi * np.arange(b1.n * angles) / (n * angles))
     s = phases[:, None] * radii ** (1.0 / n)

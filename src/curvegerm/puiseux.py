@@ -47,7 +47,7 @@ class TruncationExceeded(Exception):
         self.lower_bound = lower_bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PuiseuxBranch:
     """One branch: x = t^n, y = sum of coeff * t^exp, known up to the truncation.
 
@@ -55,8 +55,10 @@ class PuiseuxBranch:
     terms:       ((exp, coeff), ...) with strictly increasing positive
                  exponents and nonzero cyclotomic coefficients.
     truncation:  exponents above this bound are unknown.
-    field_order: the shared cyclotomic order N; n must divide it so the
-                 conjugating roots of unity live in the same field.
+    field_order: the order N of the field Q(zeta_N) that stores the
+                 coefficients; n must divide it so the conjugating roots
+                 of unity live there too.  It is not part of the branch's
+                 value: equality and hash ignore it.
     """
 
     n: int
@@ -96,6 +98,17 @@ class PuiseuxBranch:
                 f"leading exponent {self.terms[0][0]} is below n={self.n}: n would not "
                 "be the multiplicity (branch tangent to the y-axis); swap coordinates"
             )
+
+    def __eq__(self, other):
+        if not isinstance(other, PuiseuxBranch):
+            return NotImplemented
+        order = math.lcm(self.field_order, other.field_order)
+        lifted = [[(m, c.lift(order)) for m, c in b.terms] for b in (self, other)]
+        same_shape = (self.n, self.truncation) == (other.n, other.truncation)
+        return same_shape and lifted[0] == lifted[1]
+
+    def __hash__(self):
+        return hash((self.n, self.truncation, self.exponents))
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -152,26 +165,24 @@ def _aligned(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int):
     """b1 and the k-th conjugate of b2 over the common parameter s, x = s^n.
 
     Returns n = lcm(n1, n2), both term maps keyed by s-exponent, the
-    s-exponent up to which both series are known, and ``turn(e, c)``,
+    s-exponent up to which both series are known, the order N of the
+    pair's field Q(zeta_N), the lcm of the two fields, and ``turn(e, c)``,
     which rotates b2's coefficient c at s-exponent e into the k-th
-    conjugate.  Exponents are rescaled with integer arithmetic only, and
-    only a coefficient handed to ``turn`` is rotated.
+    conjugate in Q(zeta_N).  Exponents are rescaled with integer
+    arithmetic only, and only a coefficient a comparison touches is
+    rotated or lifted.
     """
-    if b1.field_order != b2.field_order:
-        raise ValueError(
-            f"branches live in different fields (orders {b1.field_order} "
-            f"and {b2.field_order})"
-        )
+    order = math.lcm(b1.field_order, b2.field_order)
     n = math.lcm(b1.n, b2.n)
     f1, f2 = n // b1.n, n // b2.n
     step = (k % b2.n) * (b2.field_order // b2.n)
 
     def turn(e, c):
-        return c.rotate(e // f2 * step) if step else c
+        return (c.rotate(e // f2 * step) if step else c).lift(order)
 
     s1 = {m * f1: c for m, c in b1.terms}
     s2 = {m * f2: c for m, c in b2.terms}
-    return n, s1, s2, min(b1.truncation * f1, b2.truncation * f2), turn
+    return n, s1, s2, min(b1.truncation * f1, b2.truncation * f2), order, turn
 
 
 def difference_order(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0) -> Fraction:
@@ -182,12 +193,12 @@ def difference_order(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0) -> Fracti
     divided by the lcm.  Raises TruncationExceeded, carrying the lower
     bound (limit+1)/lcm, when every comparable term agrees.
     """
-    n, s1, s2, limit, turn = _aligned(b1, b2, k)
+    n, s1, s2, limit, order, turn = _aligned(b1, b2, k)
     for e in sorted(set(s1) | set(s2)):
         if e > limit:
             break
         a, b = s1.get(e), s2.get(e)
-        if a is None or b is None or a != turn(e, b):
+        if a is None or b is None or a.lift(order) != turn(e, b):
             return Fraction(e, n)
     raise TruncationExceeded(
         f"series agree at every known exponent up to x^({limit}/{n})",
@@ -199,16 +210,17 @@ def difference_series(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0):
     """b1 minus the k-th conjugate of b2 as an exact series in s, x = s^n.
 
     Returns n = lcm(n1, n2) and the ((e, coeff), ...) terms of the
-    difference in increasing s-exponent.  Every known term of either
-    branch takes part, whatever the other's truncation; terms whose
-    coefficients cancel exactly are dropped, so an empty series means the
-    two agree in every known term.  This is the term walk of
-    :func:`difference_order` without its early exit.
+    difference in increasing s-exponent, in the pair's field.  Every known
+    term of either branch takes part, whatever the other's truncation;
+    terms whose coefficients cancel exactly are dropped, so an empty
+    series means the two agree in every known term.  This is the term
+    walk of :func:`difference_order` without its early exit.
     """
-    n, s1, s2, _, turn = _aligned(b1, b2, k)
+    n, s1, s2, _, order, turn = _aligned(b1, b2, k)
     terms = []
     for e in sorted(set(s1) | set(s2)):
-        a, b = s1.get(e), s2.get(e)
+        a = s1[e].lift(order) if e in s1 else None
+        b = s2.get(e)
         d = a if b is None else -turn(e, b) if a is None else a - turn(e, b)
         if not d.is_zero():
             terms.append((e, d))
@@ -246,12 +258,6 @@ class CurveGerm:
         object.__setattr__(self, "branches", tuple(self.branches))
         if not self.branches:
             raise GermValidationError("a germ needs at least one branch")
-        order = self.branches[0].field_order
-        for i, b in enumerate(self.branches):
-            if b.field_order != order:
-                raise GermValidationError(
-                    f"branch {i} has field order {b.field_order}, expected {order}"
-                )
         sweeps = {}
         for i in range(len(self.branches)):
             for j in range(i + 1, len(self.branches)):
@@ -266,27 +272,10 @@ class CurveGerm:
                 sweeps[i, j] = tuple(orders)
         object.__setattr__(self, "_sweeps", sweeps)
 
-    @property
-    def field_order(self) -> int:
-        return self.branches[0].field_order
-
-
-def lift_branch(b: PuiseuxBranch, field_order: int) -> PuiseuxBranch:
-    """Move a branch into the larger field Q(zeta_field_order)."""
-    if field_order == b.field_order:
-        return b
-    return PuiseuxBranch(
-        b.n, tuple((m, c.lift(field_order)) for m, c in b.terms), b.truncation, field_order
-    )
-
 
 def germ(branches) -> CurveGerm:
-    """Build a germ from branches, lifting everything into a common field."""
-    branches = list(branches)
-    if not branches:
-        raise GermValidationError("a germ needs at least one branch")
-    order = math.lcm(*(b.field_order for b in branches))
-    return CurveGerm(tuple(lift_branch(b, order) for b in branches))
+    """Build a germ from branches, each kept in the field it was built in."""
+    return CurveGerm(tuple(branches))
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +292,10 @@ def germ(branches) -> CurveGerm:
 # }
 #
 # A "cyclotomic" coefficient lists [q, k] pairs meaning sum of q * zeta^k
-# with zeta of order "zeta_order".  All coefficients are lifted into
-# Q(zeta_N) with N = lcm(zeta_order, all branch multiplicities).
+# with zeta of order "zeta_order".  A branch with only rational
+# coefficients is read into Q(zeta_n), any other into Q(zeta_M) with
+# M = lcm(zeta_order, n).  Writing a germ sets "zeta_order" to the lcm of
+# the n's and of the orders of the non-rational coefficients.
 
 
 def _require(cond, message):
@@ -325,22 +316,24 @@ def _rational(node) -> Fraction:
     raise GermValidationError(f"rationals must be strings like '3/4', got {node!r}")
 
 
-def _coefficient(node, declared_order: int) -> CyclotomicNumber:
+def _coefficient(node, declared_order: int) -> Fraction | CyclotomicNumber:
     _require(
         isinstance(node, dict) and len(node) == 1,
         "a coefficient is an object with exactly one of 'rational' or 'cyclotomic'",
     )
     if "rational" in node:
-        return CyclotomicNumber.from_rational(declared_order, _rational(node["rational"]))
+        return _rational(node["rational"])
     if "cyclotomic" in node:
         entries = node["cyclotomic"]
         _require(isinstance(entries, list), "'cyclotomic' must be a list of [q, k] pairs")
         for entry in entries:
             _require(
-                isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], int),
+                isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[1], int) and not isinstance(entry[1], bool),
                 f"bad cyclotomic entry {entry!r}: expected [\"p/q\", k]",
             )
-        return _reduced(declared_order, [(k, _rational(q)) for q, k in entries])
+        c = _reduced(declared_order, [(k, _rational(q)) for q, k in entries])
+        return c.coeffs[0] if c.is_rational() else c
     raise GermValidationError(f"unknown coefficient form {sorted(node)!r}")
 
 
@@ -363,7 +356,6 @@ def germ_from_dict(data) -> CurveGerm:
         isinstance(declared, int) and not isinstance(declared, bool) and declared >= 1,
         "'zeta_order' must be a positive integer",
     )
-    order = math.lcm(declared, *mults)
 
     branches = []
     for idx, node in enumerate(raw):
@@ -386,14 +378,9 @@ def germ_from_dict(data) -> CurveGerm:
                 isinstance(exp, int) and not isinstance(exp, bool) and exp >= 1,
                 f"branch {idx}: term exponent must be a positive integer",
             )
-            coeff = _coefficient(t["coeff"], declared).lift(order)
-            if coeff.is_zero():
-                raise GermValidationError(
-                    f"branch {idx}: zero coefficient listed at exponent {exp}"
-                )
-            terms.append((exp, coeff))
+            terms.append((exp, _coefficient(t["coeff"], declared)))
         try:
-            branches.append(PuiseuxBranch(mults[idx], tuple(terms), truncation, order))
+            branches.append(branch(mults[idx], terms, truncation))
         except GermValidationError as exc:
             raise GermValidationError(f"branch {idx}: {exc}") from None
     return CurveGerm(tuple(branches))
@@ -413,24 +400,28 @@ def load_germ(path) -> CurveGerm:
         return parse_germ(handle.read())
 
 
-def _coefficient_to_dict(c: CyclotomicNumber) -> dict:
+def _coefficient_to_dict(c: CyclotomicNumber, order: int) -> dict:
     if c.is_rational():
         return {"rational": str(c.coeffs[0])}
     return {
-        "cyclotomic": [[str(q), k] for k, q in enumerate(c.coeffs) if q != 0]
+        "cyclotomic": [[str(q), k] for k, q in enumerate(c.lift(order).coeffs) if q != 0]
     }
 
 
 def germ_to_dict(g: CurveGerm) -> dict:
     """Serialize a germ back into the file format; round-trips exactly."""
+    order = math.lcm(
+        *(b.n for b in g.branches),
+        *(c.order for b in g.branches for _, c in b.terms if not c.is_rational()),
+    )
     return {
-        "zeta_order": g.field_order,
+        "zeta_order": order,
         "branches": [
             {
                 "n": b.n,
                 "truncation": b.truncation,
                 "terms": [
-                    {"exp": m, "coeff": _coefficient_to_dict(c)} for m, c in b.terms
+                    {"exp": m, "coeff": _coefficient_to_dict(c, order)} for m, c in b.terms
                 ],
             }
             for b in g.branches

@@ -8,11 +8,14 @@ any other test.  This test only reads ``bench/``.
 """
 
 import importlib.util
+import itertools
+import math
 import pathlib
 from fractions import Fraction
 
 import curvegerm
 from curvegerm import branch, zeta
+from curvegerm.cyclotomic import field_degree
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -48,3 +51,26 @@ def test_tracer_counts_one_kernel_call_per_conjugate_and_sweep():
     assert counts["puiseux.difference_order"] == pair_conjugates
     assert counts.get("puiseux.conjugate", 0) == 0
     assert curvegerm.contact_report is original
+
+
+def test_tracer_sees_only_pair_fields():
+    # Fields 3, 5 and 7 (lcm 105, degree 48): each pair compares its shared
+    # x^2 coefficient in its own field, the largest of which is 35.
+    branches = [
+        branch(3, [(6, 1), (7, zeta(3))]),
+        branch(5, [(10, 1), (11, zeta(5))]),
+        branch(7, [(14, 1), (15, zeta(7))]),
+    ]
+    largest = max(
+        math.lcm(a.field_order, b.field_order) for a, b in itertools.combinations(branches, 2)
+    )
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        report = curvegerm.contact_report(curvegerm.germ(branches))
+    finally:
+        tracer.uninstall()
+    _, counts = tracer.take()
+    assert report.contact[1][2] == Fraction(15, 7)
+    assert largest == 35 < math.lcm(3, 5, 7)
+    assert counts["cyclotomic.max_field_degree"] == field_degree(largest) == 24

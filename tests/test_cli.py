@@ -223,6 +223,15 @@ def test_exit_code_2_on_bad_json(tmp_path, capsys):
     assert payload["error_kind"] == "validation"
 
 
+def test_exit_code_2_on_a_boolean_root_index(tmp_path, capsys):
+    coeff = {"cyclotomic": [["1", True]]}
+    doc = {"branches": [{"n": 2, "truncation": 3, "terms": [{"exp": 3, "coeff": coeff}]}]}
+    code, payload = run_json(capsys, ["invariants", write(tmp_path, "bool.json", doc)])
+    assert code == 2
+    assert payload["error_kind"] == "validation"
+    assert payload["message"].startswith("bad cyclotomic entry ['1', True]")
+
+
 def test_exit_code_2_on_duplicate_branches(tmp_path, capsys):
     doc = {"branches": [AXIS["branches"][0], AXIS["branches"][0]]}
     path = write(tmp_path, "dup.json", doc)

@@ -24,7 +24,6 @@ from curvegerm import (
     zeta,
 )
 from curvegerm.metric import DEFAULT_MIN_RADIUS
-from curvegerm.puiseux import lift_branch
 
 DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
 DEMO_BRANCHES = [b for path in sorted(DEMO_DATA.glob("*.json")) for b in load_germ(path).branches]
@@ -150,8 +149,6 @@ def test_branch_cloud_stacks_the_sampled_arcs():
 def test_branch_gap_profile_matches_the_all_pairs_gap_on_demo_pairs():
     compared = coincident = 0
     for b1, b2 in itertools.permutations(DEMO_BRANCHES, 2):
-        order = math.lcm(b1.field_order, b2.field_order)
-        b1, b2 = lift_branch(b1, order), lift_branch(b2, order)
         radii = default_branch_grid(b1, b2)
         c1, c2 = _branch_cloud(b1, radii, 64), _branch_cloud(b2, radii, 64)
         old = _gap_kernel(c1, c2)

@@ -6,19 +6,23 @@ cyclotomic coefficients, and truncations that decide every comparison.
 
 import itertools
 import json
+import math
 import random
 
 from curvegerm import (
     BASELINE,
     STATUS_DISTINCT,
     STATUS_EQUIVALENT,
+    PuiseuxBranch,
     characteristic_data,
     classify,
     conjugate,
+    contact,
     contact_report,
     germ,
     germ_from_dict,
     germ_to_dict,
+    intersection_multiplicity,
     lipschitz_normal_form,
 )
 
@@ -107,3 +111,47 @@ def test_germ_files_round_trip(generated_germs):
         assert germ_from_dict(doc) == g
         assert germ_from_dict(json.loads(json.dumps(doc))) == g
         assert germ_to_dict(germ_from_dict(doc)) == doc
+
+
+def lift_branch(b, field_order):
+    """Oracle: the branch moved into Q(zeta_field_order), as germs once
+    lifted every branch into the lcm of all their fields."""
+    terms = tuple((m, c.lift(field_order)) for m, c in b.terms)
+    return PuiseuxBranch(b.n, terms, b.truncation, field_order)
+
+
+def _in_one_field(g):
+    order = math.lcm(*(b.field_order for b in g.branches))
+    return germ([lift_branch(b, order) for b in g.branches])
+
+
+def test_pair_fields_agree_with_one_germ_wide_field(generated_germs):
+    by_shape = {}
+    mixed = 0
+    for seed, g, _ in generated_germs:
+        one = _in_one_field(g)
+        assert one == g and hash(one) == hash(g)
+        assert contact_report(one) == contact_report(g)
+        assert [characteristic_data(b) for b in one.branches] == [
+            characteristic_data(b) for b in g.branches
+        ]
+        for b1, b2 in itertools.permutations(g.branches, 2):
+            if b1.field_order == b2.field_order:
+                continue
+            order = math.lcm(b1.field_order, b2.field_order)
+            l1, l2 = lift_branch(b1, order), lift_branch(b2, order)
+            assert contact(b1, b2) == contact(l1, l2)
+            assert intersection_multiplicity(b1, b2) == intersection_multiplicity(l1, l2)
+            mixed += 1
+        by_shape.setdefault(seed, []).append((g, one))
+    twins = [pair for pair in by_shape.values() if len(pair) == 2]
+    assert len(twins) == 20 and mixed >= 400, mixed
+    # twins share a shape (equivalent verdicts); neighbouring shapes mostly do not
+    neighbours = [[by_shape[seed][0], by_shape[seed + 1][0]] for seed in range(59)]
+    statuses = set()
+    for (g1, one1), (g2, one2) in twins + neighbours:
+        verdict = classify(g1, g2)
+        assert verdict == classify(one1, one2)
+        assert verdict.to_dict() == classify(one1, one2).to_dict()
+        statuses.add(verdict.status)
+    assert statuses == {STATUS_DISTINCT, STATUS_EQUIVALENT}

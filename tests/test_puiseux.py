@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from curvegerm import (
     TruncationExceeded,
     branch,
     conjugate,
+    contact_report,
     difference_order,
     germ,
     germ_from_dict,
@@ -19,6 +21,7 @@ from curvegerm import (
     parse_germ,
     zeta,
 )
+from curvegerm import cyclotomic
 from curvegerm.cyclotomic import field_degree
 from curvegerm.puiseux import difference_orders, difference_series
 
@@ -121,7 +124,7 @@ def test_parse_lifts_into_the_session_field():
         ],
     }
     g = germ_from_dict(doc)
-    assert g.field_order == 6  # lcm(zeta_order=3, n=2)
+    assert g.branches[0].field_order == 6  # lcm(zeta_order=3, n=2)
     assert g.branches[0].terms[0][1] == zeta(3).lift(6)
 
 
@@ -247,24 +250,33 @@ def test_truncation_lower_bound_uses_the_coarser_branch():
     assert info.value.lower_bound == Fraction(5, 1)
 
 
-def test_difference_order_requires_common_field():
+def test_branches_from_different_fields_compare_in_their_pair_field():
     b1 = branch(1, [(2, 1)], truncation=4, field_order=2)
     b2 = branch(1, [(2, 1), (3, 1)], truncation=4, field_order=3)
-    with pytest.raises(ValueError, match="different fields"):
-        difference_order(b1, b2)
+    assert difference_order(b1, b2) == 3
+    assert difference_order(branch(2, [(3, 1)]), branch(3, [(4, zeta(3))])) == Fraction(4, 3)
+    g = CurveGerm((b1, b2))
+    assert [b.field_order for b in g.branches] == [2, 3]
+    # the storage field is not part of a branch's value
+    lifted = branch(1, [(2, 1), (3, 1)], truncation=4, field_order=6)
+    assert lifted == b2 and hash(lifted) == hash(b2) and lifted != b1
+    assert germ([b1, lifted]) == g
 
 
-def test_germ_lifts_branches_to_common_field():
-    g = germ([branch(2, [(3, 1)], truncation=6), branch(3, [(4, 1)], truncation=6)])
-    assert g.field_order == 6
-    assert all(b.field_order == 6 for b in g.branches)
-
-
-def test_germ_requires_consistent_orders():
-    b1 = branch(1, [(2, 1)], truncation=4, field_order=2)
-    b2 = branch(1, [(3, 1)], truncation=4, field_order=3)
-    with pytest.raises(GermValidationError, match="field order"):
-        CurveGerm((b1, b2))
+def test_mixed_multiplicities_build_only_pair_fields(monkeypatch):
+    # Each branch starts with zeta_3 x^2, so every pair compares that
+    # coefficient: in the lcm of the two branch fields, at most
+    # lcm(33, 39) = 429, never in the lcm of all five, 72072.
+    branches = [branch(n, [(2 * n, zeta(3)), (2 * n + 1, 1)]) for n in (7, 8, 9, 11, 13)]
+    largest = max(
+        math.lcm(a.field_order, b.field_order) for a, b in itertools.combinations(branches, 2)
+    )
+    basis, built = cyclotomic._power_basis, []
+    basis.cache_clear()
+    monkeypatch.setattr(cyclotomic, "_power_basis", lambda n: built.append(n) or basis(n))
+    report = contact_report(germ(branches))
+    assert report.contact[3][4] == Fraction(27, 13) and report.intersection[3][4] == 11 * 27
+    assert largest == 429 and 429 in built and max(built) <= largest
 
 
 def test_serialization_round_trips_exactly():
