@@ -4,10 +4,17 @@ The contact of two distinct analytic branches equals their coincidence
 exponent: the largest order in x at which some pair of Newton-Puiseux
 parametrizations agrees, maximized over conjugates.  The intersection
 multiplicity is n1 times the sum of the difference orders against all n2
-conjugates of the second branch; it is always a positive integer, and
-integrality is asserted so truncation bugs fail loudly.  Both numbers
-come from one conjugate sweep; for a germ, the report reads the sweep
-that validated it.
+conjugates of the second branch.
+
+Both numbers come from one walk over the pair's terms, which gives the
+order against every conjugate as an int s-exponent over n = lcm(n1, n2):
+contact is the largest over n, and the intersection number is n1 times
+their sum over n.  That quotient is always a positive integer; the
+division is checked, so truncation bugs fail loudly with
+ConsistencyError.  For a germ, the report reads the walks that validated
+it, kept in ``CurveGerm._sweeps`` as ``(n, orders)`` per pair.  Fractions
+are made only for the values handed out: :func:`contact`,
+:class:`ContactReport` and its JSON.
 """
 
 from __future__ import annotations
@@ -20,22 +27,21 @@ from curvegerm.puiseux import (
     CurveGerm,
     PuiseuxBranch,
     TruncationExceeded,
-    difference_orders,
+    _inconclusive,
+    _walk,
 )
 
 
-def _intersection_of(n1: int, orders) -> int:
-    """Intersection number read off one sweep: n1 times the sum."""
-    for v in orders:
-        if isinstance(v, TruncationExceeded):
-            raise v
+def _intersection_of(n1: int, n: int, orders) -> int:
+    """Intersection number read off one sweep of s-exponents over n:
+    n1 times their sum over n."""
     total = n1 * sum(orders)
-    if total.denominator != 1 or total <= 0:
-        raise RuntimeError(
-            f"intersection multiplicity came out as {total}, not a positive "
+    if total % n or total <= 0:
+        raise ConsistencyError(
+            f"intersection multiplicity came out as {Fraction(total, n)}, not a positive "
             "integer: internal bug or insufficient truncation"
         )
-    return int(total)
+    return total // n
 
 
 def contact(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
@@ -52,24 +58,24 @@ def contact(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
     >>> contact(branch(2, [(4, 1), (5, 1)]), branch(3, [(6, 1), (7, zeta(3))]))
     Fraction(7, 3)
     """
-    orders = difference_orders(b1, b2)
-    values = [v for v in orders if isinstance(v, Fraction)]
-    blocked = [
-        (k, v.lower_bound) for k, v in enumerate(orders) if isinstance(v, TruncationExceeded)
-    ]
+    n, limit, orders = _walk(b1, b2, range(b2.n))
+    blocked = [str(k) for k, e in enumerate(orders) if e is None]
     if blocked:
-        bounds = [lb for _, lb in blocked if lb is not None]
-        which = ", ".join(str(k) for k, _ in blocked)
         raise TruncationExceeded(
-            f"contact inconclusive: conjugation(s) {which} agree within the known terms",
-            lower_bound=max(bounds + values) if bounds else None,
+            f"contact inconclusive: conjugation(s) {', '.join(blocked)} agree within the "
+            "known terms",
+            # every order the walk found lies at or below the limit
+            lower_bound=Fraction(limit + 1, n),
         )
-    return max(values)
+    return Fraction(max(orders), n)
 
 
 def intersection_multiplicity(b1: PuiseuxBranch, b2: PuiseuxBranch) -> int:
     """Local intersection number of two distinct branches at the origin."""
-    return _intersection_of(b1.n, difference_orders(b1, b2))
+    n, limit, orders = _walk(b1, b2, range(b2.n))
+    if None in orders:
+        raise _inconclusive(n, limit)
+    return _intersection_of(b1.n, n, orders)
 
 
 @dataclass(frozen=True)
@@ -113,28 +119,32 @@ class ContactReport:
         }
 
 
-def _contacts(g: CurveGerm) -> list:
-    """The contact matrix as lists, read as the max of each stored sweep."""
+def _contacts(g: CurveGerm, den: int) -> list:
+    """The contact matrix as lists of int numerators over den, a multiple
+    of every multiplicity of the germ: the max of each stored sweep,
+    rescaled."""
     r = len(g.branches)
-    cont: list[list[Fraction | None]] = [[None] * r for _ in range(r)]
-    for (i, j), orders in g._sweeps.items():
-        cont[i][j] = cont[j][i] = max(orders)
+    cont: list[list[int | None]] = [[None] * r for _ in range(r)]
+    for (i, j), (n, orders) in g._sweeps.items():
+        cont[i][j] = cont[j][i] = max(orders) * (den // n)
     return cont
 
 
 def contact_report(g: CurveGerm) -> ContactReport:
     """Fill both pairwise matrices for all distinct branch pairs of the germ.
 
-    Reads the conjugate sweeps that validated the germ; every entry there
-    is exact, so no pair is compared again.
+    Reads the sweeps that validated the germ; every order there is
+    exact, so no pair is compared again.
     """
     r = len(g.branches)
+    cont: list[list[Fraction | None]] = [[None] * r for _ in range(r)]
     inter: list[list[int | None]] = [[None] * r for _ in range(r)]
-    for (i, j), orders in g._sweeps.items():
-        inter[i][j] = inter[j][i] = _intersection_of(g.branches[i].n, orders)
+    for (i, j), (n, orders) in g._sweeps.items():
+        cont[i][j] = cont[j][i] = Fraction(max(orders), n)
+        inter[i][j] = inter[j][i] = _intersection_of(g.branches[i].n, n, orders)
     return ContactReport(
         r,
         # lists, not generators, for the reason given at PuiseuxBranch.exponents
-        tuple([tuple(row) for row in _contacts(g)]),
+        tuple([tuple(row) for row in cont]),
         tuple([tuple(row) for row in inter]),
     )

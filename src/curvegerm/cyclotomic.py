@@ -269,10 +269,10 @@ class CyclotomicNumber:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CyclotomicNumber):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = CyclotomicNumber.from_rational(self.order, other)
-        elif not isinstance(other, CyclotomicNumber):
-            return NotImplemented
         return (
             self.order == other.order and self.den == other.den and self.nums == other.nums
         )

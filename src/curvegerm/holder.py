@@ -207,20 +207,18 @@ class HolderVerdict:
         }
 
 
-def _contact_tree(contact, betas, codes):
+def _contact_tree(c, betas, codes):
     """Canonical code of every node of a germ's contact tree.
 
-    Returns ``(code, paths)``: ``code[node]`` is the node's canonical
-    code and ``paths[i]`` lists the nodes from the root down to the leaf
-    of branch i.  ``codes`` interns (label, sorted child codes) keys as
-    small integers; share it between two germs to compare their trees.
-    Raises RuntimeError when the contacts are not an ultrametric, which
-    exact contacts always are.
+    ``c`` is the contact matrix, off the diagonal, as int numerators over
+    one denominator.  Returns ``(code, paths)``: ``code[node]`` is the
+    node's canonical code and ``paths[i]`` lists the nodes from the root
+    down to the leaf of branch i.  ``codes`` interns (label, sorted child
+    codes) keys as small integers; share it between two germs whose
+    matrices have the same denominator to compare their trees.  Raises
+    RuntimeError when the contacts are not an ultrametric, which exact
+    contacts always are.
     """
-    # contact values as ranks: the scans below compare ints, not Fractions
-    levels = sorted({v for row in contact for v in row if v is not None})
-    rank = {v: k for k, v in enumerate(levels)}
-    c = [[-1 if v is None else rank[v] for v in row] for row in contact]
     code: list[int] = []
     paths: list[list[int]] = [[] for _ in betas]
 
@@ -251,7 +249,7 @@ def _contact_tree(contact, betas, codes):
                         f"contacts are not an ultrametric at branches ({i}, {j}): "
                         "internal bug"
                     )
-            key = (levels[level], tuple(sorted(build(cls) for cls in classes)))
+            key = (level, tuple(sorted(build(cls) for cls in classes)))
         code[node] = codes.setdefault(key, len(codes))
         return code[node]
 
@@ -339,7 +337,9 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
 
     data1 = [characteristic_data(b) for b in germ1.branches]
     data2 = [characteristic_data(b) for b in germ2.branches]
-    matrix1, matrix2 = _contacts(germ1), _contacts(germ2)
+    # contacts as int numerators over one denominator for both germs
+    den = math.lcm(*(b.n for b in germ1.branches), *(b.n for b in germ2.branches))
+    matrix1, matrix2 = _contacts(germ1, den), _contacts(germ2, den)
 
     codes: dict = {}
     tree1 = _contact_tree(matrix1, [d.beta for d in data1], codes)
@@ -372,8 +372,9 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
     contacts2 = _groups((p, matrix2[p[0]][p[1]]) for p in pairs)
     for cont1, (first, n1) in contacts1.items():
         for cont2, (second, n2) in contacts2.items():
-            value = contact_obstruction(cont1, cont2)
-            if value < 1:
+            if cont1 != cont2:
+                # contact_obstruction(cont1 / den, cont2 / den)
+                value = Fraction(min(cont1, cont2), max(cont1, cont2))
                 obstructions.append(
                     Obstruction(
                         KIND_CONTACT,

@@ -161,49 +161,94 @@ def conjugate(b: PuiseuxBranch, k: int) -> PuiseuxBranch:
     return PuiseuxBranch(b.n, terms, b.truncation, b.field_order)
 
 
-def _aligned(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int):
-    """b1 and the k-th conjugate of b2 over the common parameter s, x = s^n.
+def _aligned(b1: PuiseuxBranch, b2: PuiseuxBranch):
+    """b1 and b2 over the common parameter s, x = s^n with n = lcm(n1, n2).
 
-    Returns n = lcm(n1, n2), both term maps keyed by s-exponent, the
-    s-exponent up to which both series are known, the order N of the
-    pair's field Q(zeta_N), the lcm of the two fields, and ``turn(e, c)``,
-    which rotates b2's coefficient c at s-exponent e into the k-th
-    conjugate in Q(zeta_N).  Exponents are rescaled with integer
-    arithmetic only, and only a coefficient a comparison touches is
-    rotated or lifted.
+    Returns n, the s-exponent up to which both series are known, the
+    order N of the pair's field Q(zeta_N), the lcm of the two fields, and
+    both series keyed by s-exponent: b1's coefficients, and b2's terms
+    (m, c) with m the exponent in b2's own parameter.  Exponents are
+    rescaled with integer arithmetic only, and no coefficient is touched.
     """
-    order = math.lcm(b1.field_order, b2.field_order)
     n = math.lcm(b1.n, b2.n)
     f1, f2 = n // b1.n, n // b2.n
-    step = (k % b2.n) * (b2.field_order // b2.n)
+    s1 = {m * f1: a for m, a in b1.terms}
+    s2 = {term[0] * f2: term for term in b2.terms}
+    limit = min(b1.truncation * f1, b2.truncation * f2)
+    return n, limit, math.lcm(b1.field_order, b2.field_order), s1, s2
 
-    def turn(e, c):
-        return (c.rotate(e // f2 * step) if step else c).lift(order)
 
-    s1 = {m * f1: c for m, c in b1.terms}
-    s2 = {m * f2: c for m, c in b2.terms}
-    return n, s1, s2, min(b1.truncation * f1, b2.truncation * f2), order, turn
+def _turned(b2: PuiseuxBranch, c: CyclotomicNumber, r: int, order: int) -> CyclotomicNumber:
+    """zeta_n2^r * c for a coefficient c of b2, lifted into Q(zeta_order).
+
+    b2's coefficient at its exponent m in its k-th conjugate is the one
+    with r = k*m mod n2.
+    """
+    return (c.rotate(r * (b2.field_order // b2.n)) if r else c).lift(order)
+
+
+def _walk(b1: PuiseuxBranch, b2: PuiseuxBranch, ks):
+    """The orders at which b1 and the conjugates k in ``ks`` of b2 first
+    differ, from one walk over the pair's terms.
+
+    The s-exponents of both series (:func:`_aligned`) are walked once,
+    up to the last one at which both are known, carrying the conjugates
+    that still agree: conjugate k drops out at the first s-exponent where
+    it differs from b1, and that int is its order, over n = lcm(n1, n2).
+    At each exponent b1's coefficient is lifted once and b2's is rotated
+    once per residue k*m mod n2 among the conjugates left.  Returns n,
+    the limit of the walk and one order per k in ``ks``, None for a
+    conjugate that agrees at every known exponent.
+    """
+    n, limit, order, s1, s2 = _aligned(b1, b2)
+    orders = dict.fromkeys(ks)
+    left = list(orders)
+    for e in sorted(s1.keys() | s2.keys()):
+        if not left or e > limit:
+            break
+        a, term = s1.get(e), s2.get(e)
+        if a is None or term is None:
+            for k in left:
+                orders[k] = e
+            break
+        a = a.lift(order)
+        m, c = term
+        agrees: dict[int, bool] = {}
+        kept = []
+        for k in left:
+            r = k * m % b2.n
+            same = agrees.get(r)
+            if same is None:
+                same = agrees[r] = _turned(b2, c, r, order) == a
+            if same:
+                kept.append(k)
+            else:
+                orders[k] = e
+        left = kept
+    return n, limit, list(orders.values())
+
+
+def _inconclusive(n: int, limit: int) -> TruncationExceeded:
+    """The outcome for a conjugate that agrees at every s-exponent up to limit."""
+    return TruncationExceeded(
+        f"series agree at every known exponent up to x^({limit}/{n})",
+        lower_bound=Fraction(limit + 1, n),
+    )
 
 
 def difference_order(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0) -> Fraction:
     """Order in x at which b1 and the k-th conjugate of b2 first differ.
 
-    Both series are rescaled to the common parameter s with x = s^lcm(n1,n2)
-    (see :func:`_aligned`); the result is the smallest differing s-exponent
-    divided by the lcm.  Raises TruncationExceeded, carrying the lower
-    bound (limit+1)/lcm, when every comparable term agrees.
+    Both series are rescaled to the common parameter s with x = s^lcm(n1,n2);
+    the result is the smallest differing s-exponent divided by the lcm.
+    This is :func:`difference_orders` restricted to the one conjugate k.
+    Raises TruncationExceeded, carrying the lower bound (limit+1)/lcm,
+    when every comparable term agrees.
     """
-    n, s1, s2, limit, order, turn = _aligned(b1, b2, k)
-    for e in sorted(set(s1) | set(s2)):
-        if e > limit:
-            break
-        a, b = s1.get(e), s2.get(e)
-        if a is None or b is None or a.lift(order) != turn(e, b):
-            return Fraction(e, n)
-    raise TruncationExceeded(
-        f"series agree at every known exponent up to x^({limit}/{n})",
-        lower_bound=Fraction(limit + 1, n),
-    )
+    n, limit, (e,) = _walk(b1, b2, (k,))
+    if e is None:
+        raise _inconclusive(n, limit)
+    return Fraction(e, n)
 
 
 def difference_series(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0):
@@ -216,12 +261,13 @@ def difference_series(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0):
     series means the two agree in every known term.  This is the term
     walk of :func:`difference_order` without its early exit.
     """
-    n, s1, s2, _, order, turn = _aligned(b1, b2, k)
+    n, _, order, s1, s2 = _aligned(b1, b2)
     terms = []
-    for e in sorted(set(s1) | set(s2)):
-        a = s1[e].lift(order) if e in s1 else None
-        b = s2.get(e)
-        d = a if b is None else -turn(e, b) if a is None else a - turn(e, b)
+    for e in sorted(s1.keys() | s2.keys()):
+        a, term = s1.get(e), s2.get(e)
+        a = None if a is None else a.lift(order)
+        b = None if term is None else _turned(b2, term[1], k * term[0] % b2.n, order)
+        d = a if b is None else -b if a is None else a - b
         if not d.is_zero():
             terms.append((e, d))
     return n, tuple(terms)
@@ -229,14 +275,10 @@ def difference_series(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0):
 
 def difference_orders(b1: PuiseuxBranch, b2: PuiseuxBranch) -> list:
     """The conjugate sweep of a pair: ``difference_order(b1, b2, k)`` for each
-    conjugate k of b2, or the TruncationExceeded that blocked it."""
-    orders: list = []
-    for k in range(b2.n):
-        try:
-            orders.append(difference_order(b1, b2, k))
-        except TruncationExceeded as exc:
-            orders.append(exc)
-    return orders
+    conjugate k of b2, or the TruncationExceeded that blocked it, all from
+    one walk over the pair's terms."""
+    n, limit, orders = _walk(b1, b2, range(b2.n))
+    return [_inconclusive(n, limit) if e is None else Fraction(e, n) for e in orders]
 
 
 @dataclass(frozen=True)
@@ -245,10 +287,13 @@ class CurveGerm:
 
     Distinctness means no branch is a Newton-Puiseux conjugate of
     another: for every conjugation some pair of known terms must differ.
-    The sweep that proves it is kept: ``_sweeps[i, j]`` holds
-    ``difference_orders(branches[i], branches[j])`` for i < j, all exact,
-    and the contact report reads it.  It is derived from the branches, so
-    it stays out of ``__init__``, ``repr``, ``==`` and ``hash``.
+    The walk that proves it is kept: ``_sweeps[i, j]`` holds ``(n, orders)``
+    for i < j, with n = lcm of the two multiplicities and ``orders`` the
+    tuple of int s-exponents at which branches[i] and each conjugate k of
+    branches[j] first differ, so ``difference_order(branches[i],
+    branches[j], k) == orders[k] / n``.  The contact report and the
+    classifier read it.  It is derived from the branches, so it stays out
+    of ``__init__``, ``repr``, ``==`` and ``hash``.
     """
 
     branches: tuple[PuiseuxBranch, ...]
@@ -259,17 +304,17 @@ class CurveGerm:
         if not self.branches:
             raise GermValidationError("a germ needs at least one branch")
         sweeps = {}
-        for i in range(len(self.branches)):
+        for i, bi in enumerate(self.branches):
             for j in range(i + 1, len(self.branches)):
-                orders = difference_orders(self.branches[i], self.branches[j])
-                for k, v in enumerate(orders):
-                    if isinstance(v, TruncationExceeded):
-                        raise GermValidationError(
-                            f"branches {i} and {j} cannot be told apart "
-                            f"(conjugation {k} agrees within the known terms): "
-                            "duplicate branch or insufficient truncation"
-                        )
-                sweeps[i, j] = tuple(orders)
+                bj = self.branches[j]
+                n, _, orders = _walk(bi, bj, range(bj.n))
+                if None in orders:
+                    raise GermValidationError(
+                        f"branches {i} and {j} cannot be told apart "
+                        f"(conjugation {orders.index(None)} agrees within the known "
+                        "terms): duplicate branch or insufficient truncation"
+                    )
+                sweeps[i, j] = (n, tuple(orders))
         object.__setattr__(self, "_sweeps", sweeps)
 
 

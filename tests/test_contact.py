@@ -19,6 +19,7 @@ from curvegerm import (
     intersection_multiplicity,
     zeta,
 )
+from curvegerm.puiseux import ConsistencyError
 
 # --- exact series substitution oracle --------------------------------------
 #
@@ -316,6 +317,19 @@ def test_contact_matrices_must_be_consistent():
             ((None, Fraction(1, 2)), (Fraction(1, 2), None)),
             ((None, 1), (1, None)),
         )
+
+
+@pytest.mark.parametrize("orders, value", [((4, 3), "7/2"), ((0, 0), "0")])
+def test_a_tampered_sweep_fails_the_intersection_check(orders, value):
+    g = germ([branch(1, [], truncation=16), branch(2, [(3, 1)], truncation=8)])
+    assert g._sweeps[0, 1] == (2, (3, 3))
+    assert contact_report(g).intersection[0][1] == 3
+    g._sweeps[0, 1] = (2, orders)
+    with pytest.raises(
+        ConsistencyError,
+        match=f"intersection multiplicity came out as {value}, not a positive integer",
+    ):
+        contact_report(g)
 
 
 def test_report_serialization_round_trips_rationals():

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 from curvegerm import (
     BASELINE,
@@ -103,6 +104,42 @@ def test_verdicts_do_not_change_under_reordering_or_conjugation(generated_germs)
         if len(g1.branches) == 1:
             normal = germ([lipschitz_normal_form(g1.branches[0])])
             assert classify(normal, g2) == verdict
+
+
+def noether(beta, contact, n_other):
+    """Oracle: Max Noether's formula for the intersection number of two
+    branches, which enumerates no conjugates (Casas-Alvero, Singularities
+    of Plane Curves, 2000).
+
+    With gamma of characteristic exponents beta (beta_0 = n), e_i the gcd
+    chain, delta of multiplicity n_other and contact c:
+    I = (n_other / n) * (sum_{i<=q} (e_{i-1} - e_i) * beta_i + e_q * n * c),
+    q the number of beta_i / n <= c.
+    """
+    n = beta[0]
+    e = [n]
+    for b in beta[1:]:
+        e.append(math.gcd(e[-1], b))
+    total, q = Fraction(0), 0
+    for i in range(1, len(beta)):
+        if Fraction(beta[i], n) <= contact:
+            total += (e[i - 1] - e[i]) * beta[i]
+            q = i
+    total += e[q] * n * contact
+    value = Fraction(n_other, n) * total
+    assert value.denominator == 1
+    return int(value)
+
+
+def test_intersection_numbers_follow_noethers_formula(generated_germs):
+    pairs = 0
+    for _, g, expected in generated_germs:
+        inter = contact_report(g).intersection
+        betas = [characteristic_data(b).beta for b in g.branches]
+        for i, j in itertools.permutations(range(len(g.branches)), 2):
+            assert inter[i][j] == noether(betas[i], expected[i][j], g.branches[j].n)
+            pairs += 1
+    assert pairs >= 300, pairs
 
 
 def test_germ_files_round_trip(generated_germs):

@@ -13,17 +13,19 @@ from curvegerm import (
     TruncationExceeded,
     branch,
     conjugate,
+    contact,
     contact_report,
     difference_order,
     germ,
     germ_from_dict,
     germ_to_dict,
+    intersection_multiplicity,
     parse_germ,
     zeta,
 )
 from curvegerm import cyclotomic
 from curvegerm.cyclotomic import field_degree
-from curvegerm.puiseux import difference_orders, difference_series
+from curvegerm.puiseux import ConsistencyError, difference_orders, difference_series
 
 
 def test_parse_single_cusp():
@@ -360,6 +362,84 @@ def test_difference_order_never_builds_the_conjugate_it_compares_against():
         first = min(b1.exponents[0] / b1.n, b2.exponents[0] / b2.n if b2.terms else 99)
         deep += sum(isinstance(v, Fraction) and v > first for v in sweep)
     assert blocked >= 10 and deep >= 10, (blocked, deep)
+
+
+# --- oracle: one walk per conjugate ----------------------------------------
+#
+# The per-conjugate comparison the pair walk replaced, kept as it was:
+# both series rescaled to x = s^lcm(n1, n2) for each k, and the sorted
+# exponent union walked until the first difference.
+
+
+def _oracle_aligned(b1, b2, k):
+    order = math.lcm(b1.field_order, b2.field_order)
+    n = math.lcm(b1.n, b2.n)
+    f1, f2 = n // b1.n, n // b2.n
+    step = (k % b2.n) * (b2.field_order // b2.n)
+
+    def turn(e, c):
+        return (c.rotate(e // f2 * step) if step else c).lift(order)
+
+    s1 = {m * f1: c for m, c in b1.terms}
+    s2 = {m * f2: c for m, c in b2.terms}
+    return n, s1, s2, min(b1.truncation * f1, b2.truncation * f2), order, turn
+
+
+def _oracle_difference_order(b1, b2, k=0):
+    n, s1, s2, limit, order, turn = _oracle_aligned(b1, b2, k)
+    for e in sorted(set(s1) | set(s2)):
+        if e > limit:
+            break
+        a, b = s1.get(e), s2.get(e)
+        if a is None or b is None or a.lift(order) != turn(e, b):
+            return Fraction(e, n)
+    raise TruncationExceeded(
+        f"series agree at every known exponent up to x^({limit}/{n})",
+        lower_bound=Fraction(limit + 1, n),
+    )
+
+
+def _assert_walk_matches_the_oracle(b1, b2):
+    expected = [_outcome(_oracle_difference_order, b1, b2, k) for k in range(b2.n)]
+    assert [
+        v if isinstance(v, Fraction) else ("blocked", str(v), v.lower_bound)
+        for v in difference_orders(b1, b2)
+    ] == expected, (b1, b2)
+    assert [_outcome(difference_order, b1, b2, k) for k in range(b2.n)] == expected, (b1, b2)
+    for k in (-1, b2.n + 1):
+        assert _outcome(difference_order, b1, b2, k) == expected[k % b2.n], (b1, b2, k)
+    # contact and intersection number as they were read off the oracle sweep
+    blocked = [k for k, v in enumerate(expected) if isinstance(v, tuple)]
+    values = [v for v in expected if not isinstance(v, tuple)]
+    if blocked:
+        message = (
+            f"contact inconclusive: conjugation(s) {', '.join(map(str, blocked))} agree "
+            "within the known terms"
+        )
+        bound = max([expected[k][2] for k in blocked] + values)
+        assert _outcome(contact, b1, b2) == ("blocked", message, bound), (b1, b2)
+        assert _outcome(intersection_multiplicity, b1, b2) == expected[blocked[0]], (b1, b2)
+    else:
+        assert contact(b1, b2) == max(values), (b1, b2)
+        total = b1.n * sum(values)
+        if total.denominator == 1 and total > 0:
+            assert intersection_multiplicity(b1, b2) == total, (b1, b2)
+        else:
+            with pytest.raises(ConsistencyError, match="not a positive integer"):
+                intersection_multiplicity(b1, b2)
+    return expected
+
+
+def test_pair_walk_matches_the_per_conjugate_oracle(generated_germs):
+    rng = random.Random(31337)
+    outcomes = []
+    for _ in range(150):
+        outcomes += _assert_walk_matches_the_oracle(*_kernel_pair(rng))
+    for _, g, _ in generated_germs:
+        for b1, b2 in itertools.product(g.branches, repeat=2):
+            outcomes += _assert_walk_matches_the_oracle(b1, b2)
+    blocked = sum(isinstance(v, tuple) for v in outcomes)
+    assert blocked >= 100 and len(outcomes) - blocked >= 1000, (blocked, len(outcomes))
 
 
 def test_cyclotomic_coefficient_sums_repeated_negative_and_large_powers():
