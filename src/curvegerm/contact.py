@@ -52,7 +52,8 @@ def contact(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
     inconclusive, since the true maximum might then be hidden beyond the
     truncation.
 
-    Branches from different fields are compared in the lcm of the two:
+    Coefficients from different fields are compared pair by pair, each
+    pair in the smallest field that holds both and zeta_n2:
 
     >>> from curvegerm import branch, zeta
     >>> contact(branch(2, [(4, 1), (5, 1)]), branch(3, [(6, 1), (7, zeta(3))]))

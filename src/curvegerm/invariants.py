@@ -98,4 +98,4 @@ def lipschitz_normal_form(b: PuiseuxBranch) -> PuiseuxBranch:
     keep = set(data.beta[1:])
     terms = tuple((m, c) for m, c in b.terms if m in keep)
     truncation = data.beta[-1] if data.genus else b.truncation
-    return PuiseuxBranch(b.n, terms, truncation, b.field_order)
+    return PuiseuxBranch(b.n, terms, truncation)

@@ -55,7 +55,6 @@ class ArcSample:
     """Sampled points of one arc in C^2 with their Euclidean norms."""
 
     points: np.ndarray
-    meta: dict = field(default_factory=dict)
     radii: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -91,17 +90,11 @@ def sample_branch_arc(
         grid = geometric_grid() ** (1.0 / b.n)
     s = np.asarray(grid, dtype=float)
     _validate_t_grid(s)
-    meta = {
-        "branch": f"n={b.n}, exponents={list(b.exponents)}",
-        "conjugation": conj % b.n,
-        "angle": angle,
-        "grid": {"start": float(s[0]), "stop": float(s[-1]), "count": int(s.size)},
-    }
     t = np.exp(1j * (angle + 2.0 * math.pi * (conj % b.n)) / b.n) * s
     y = np.zeros_like(t)
     for m, coeff in b.terms:
         y = y + coeff.to_complex() * t**m
-    return ArcSample(np.stack([t**b.n, y], axis=-1), meta=meta)
+    return ArcSample(np.stack([t**b.n, y], axis=-1))
 
 
 def gap_profile(a: ArcSample, b: ArcSample) -> np.ndarray:
@@ -232,9 +225,7 @@ def radial_holder_map(a: ArcSample, exponent: float) -> ArcSample:
     if not (math.isfinite(exponent) and exponent >= 1):
         raise ValueError(f"the radial exponent must be finite and at least 1, got {exponent}")
     scale = a.radii ** (exponent - 1.0)
-    meta = dict(a.meta)
-    meta["radial_exponent"] = exponent
-    return ArcSample(a.points * scale[:, None], meta=meta)
+    return ArcSample(a.points * scale[:, None])
 
 
 @dataclass(frozen=True)
@@ -320,14 +311,9 @@ def witness_arcs(b: PuiseuxBranch, index: int, radii=None):
     s = np.asarray(radii, dtype=float) ** (1.0 / b.n)
     twist = math.prod(n for _, n in data.pairs[: index - 1])
     twisted = conjugate(b, twist)
-    arcs = (
+    return (
         sample_branch_arc(b, 0, 0.0, s),
         sample_branch_arc(b, 0, math.pi / 2, s),
         sample_branch_arc(twisted, 0, 0.0, s),
         sample_branch_arc(twisted, 0, 3 * math.pi / 2, s),
     )
-    roles = ("base", "quarter_turn", "conjugate_twist", "twisted_three_quarter_turn")
-    for arc, role in zip(arcs, roles):
-        arc.meta["role"] = role
-        arc.meta["characteristic_index"] = index
-    return arcs

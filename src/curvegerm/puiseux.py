@@ -1,10 +1,11 @@
 """Truncated Newton-Puiseux parametrizations of plane branches.
 
 A branch is the germ at the origin of the image of t -> (t^n, y(t)) with
-y(t) = sum a_m t^m, a_m in Q(zeta_N).  Only finitely many terms are
-known: exponents above the stated truncation are unspecified, and every
-comparison that runs out of known terms raises :class:`TruncationExceeded`
-with the best available lower bound instead of guessing.
+y(t) = sum a_m t^m, each a_m in a cyclotomic field Q(zeta_N) of its own.
+Only finitely many terms are known: exponents above the stated
+truncation are unspecified, and every comparison that runs out of known
+terms raises :class:`TruncationExceeded` with the best available lower
+bound instead of guessing.
 
 The other Newton-Puiseux parametrizations of the same branch arise by
 substituting t -> w*t with w an n-th root of unity (:func:`conjugate`).
@@ -47,38 +48,34 @@ class TruncationExceeded(Exception):
         self.lower_bound = lower_bound
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class PuiseuxBranch:
     """One branch: x = t^n, y = sum of coeff * t^exp, known up to the truncation.
 
-    n:           order of the x-coordinate; the multiplicity of the branch.
-    terms:       ((exp, coeff), ...) with strictly increasing positive
-                 exponents and nonzero cyclotomic coefficients.
-    truncation:  exponents above this bound are unknown.
-    field_order: the order N of the field Q(zeta_N) that stores the
-                 coefficients; n must divide it so the conjugating roots
-                 of unity live there too.  It is not part of the branch's
-                 value: equality and hash ignore it.
+    n:          order of the x-coordinate; the multiplicity of the branch.
+    terms:      ((exp, coeff), ...) with strictly increasing positive
+                exponents and nonzero cyclotomic coefficients, each in the
+                field it was built in (a rational one in Q(zeta_1)).
+    truncation: exponents above this bound are unknown.
     """
 
     n: int
     terms: tuple[tuple[int, CyclotomicNumber], ...]
     truncation: int
-    field_order: int
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple((m, c) for m, c in self.terms))
-        if self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise GermValidationError("multiplicity n must be a positive integer")
-        if self.truncation < 1:
+        if not _is_int(self.truncation) or self.truncation < 1:
             raise GermValidationError("truncation must be a positive integer")
-        if self.field_order < 1 or self.field_order % self.n:
-            raise GermValidationError(
-                f"field order {self.field_order} must be a positive multiple of n={self.n}"
-            )
         last = 0
         for m, coeff in self.terms:
-            if not isinstance(m, int) or m <= last:
+            if not _is_int(m) or m <= last:
                 raise GermValidationError(
                     "term exponents must be strictly increasing positive integers"
                 )
@@ -86,9 +83,9 @@ class PuiseuxBranch:
                 raise GermValidationError(
                     f"term exponent {m} exceeds the truncation {self.truncation}"
                 )
-            if not isinstance(coeff, CyclotomicNumber) or coeff.order != self.field_order:
+            if not isinstance(coeff, CyclotomicNumber):
                 raise GermValidationError(
-                    f"coefficient at exponent {m} must live in Q(zeta_{self.field_order})"
+                    f"coefficient at exponent {m} must be a CyclotomicNumber"
                 )
             if coeff.is_zero():
                 raise GermValidationError(f"zero coefficient listed at exponent {m}")
@@ -102,10 +99,10 @@ class PuiseuxBranch:
     def __eq__(self, other):
         if not isinstance(other, PuiseuxBranch):
             return NotImplemented
-        order = math.lcm(self.field_order, other.field_order)
-        lifted = [[(m, c.lift(order)) for m, c in b.terms] for b in (self, other)]
-        same_shape = (self.n, self.truncation) == (other.n, other.truncation)
-        return same_shape and lifted[0] == lifted[1]
+        shape = (self.n, self.truncation, self.exponents)
+        return shape == (other.n, other.truncation, other.exponents) and all(
+            x == y for x, y in (_lifted(a, c) for (_, a), (_, c) in zip(self.terms, other.terms))
+        )
 
     def __hash__(self):
         return hash((self.n, self.truncation, self.exponents))
@@ -119,36 +116,46 @@ class PuiseuxBranch:
 
     def __repr__(self):
         body = " + ".join(f"({c})*t^{m}" for m, c in self.terms) or "0"
-        return (
-            f"PuiseuxBranch(x=t^{self.n}, y={body}, "
-            f"truncation={self.truncation}, field_order={self.field_order})"
-        )
+        return f"PuiseuxBranch(x=t^{self.n}, y={body}, truncation={self.truncation})"
 
 
 def branch(n, terms=(), truncation=None, field_order=None) -> PuiseuxBranch:
     """Convenience constructor accepting int/Fraction or cyclotomic coefficients.
 
-    The field order defaults to the lcm of n and the orders of any
-    cyclotomic coefficients; the truncation defaults to the largest
+    A cyclotomic coefficient stays in its own field and a rational one
+    goes into Q(zeta_1); with ``field_order`` N, every coefficient is
+    stored in Q(zeta_N) instead.  The truncation defaults to the largest
     exponent and must be given explicitly for a zero series.
     """
     terms = [(m, c) for m, c in terms]
-    orders = [n] + [
-        c.order for _, c in terms if isinstance(c, CyclotomicNumber)
-    ]
-    if field_order is None:
-        field_order = math.lcm(*orders)
     if truncation is None:
         if not terms:
             raise ValueError("truncation is required for a branch with no known terms")
         truncation = max(m for m, _ in terms)
-    lifted = []
+    stored = []
     for m, c in terms:
-        if isinstance(c, CyclotomicNumber):
-            lifted.append((m, c.lift(field_order)))
-        else:
-            lifted.append((m, CyclotomicNumber.from_rational(field_order, c)))
-    return PuiseuxBranch(n, tuple(lifted), truncation, field_order)
+        if not isinstance(c, CyclotomicNumber):
+            c = CyclotomicNumber.from_rational(field_order or 1, c)
+        stored.append((m, c if field_order is None else c.lift(field_order)))
+    return PuiseuxBranch(n, tuple(stored), truncation)
+
+
+def _lifted(a: CyclotomicNumber, c: CyclotomicNumber, n: int = 1):
+    """a and c lifted into their smallest common field that holds zeta_n."""
+    order = math.lcm(a.order, c.order, n)
+    return a.lift(order), c.lift(order)
+
+
+def _turned(c: CyclotomicNumber, r: int, n: int) -> CyclotomicNumber:
+    """zeta_n^r * c: c itself when r is 0, else in Q(zeta_L), L = lcm(c.order, n).
+
+    A branch's coefficient at its exponent m in its k-th conjugate is the
+    one with r = k*m mod n.
+    """
+    if not r:
+        return c
+    order = math.lcm(c.order, n)
+    return c.lift(order).rotate(r * (order // n))
 
 
 def conjugate(b: PuiseuxBranch, k: int) -> PuiseuxBranch:
@@ -156,16 +163,14 @@ def conjugate(b: PuiseuxBranch, k: int) -> PuiseuxBranch:
     k %= b.n
     if k == 0:
         return b
-    step = b.field_order // b.n
-    terms = tuple((m, c.rotate(k * m * step)) for m, c in b.terms)
-    return PuiseuxBranch(b.n, terms, b.truncation, b.field_order)
+    terms = tuple((m, _turned(c, k * m % b.n, b.n)) for m, c in b.terms)
+    return PuiseuxBranch(b.n, terms, b.truncation)
 
 
 def _aligned(b1: PuiseuxBranch, b2: PuiseuxBranch):
     """b1 and b2 over the common parameter s, x = s^n with n = lcm(n1, n2).
 
-    Returns n, the s-exponent up to which both series are known, the
-    order N of the pair's field Q(zeta_N), the lcm of the two fields, and
+    Returns n, the s-exponent up to which both series are known, and
     both series keyed by s-exponent: b1's coefficients, and b2's terms
     (m, c) with m the exponent in b2's own parameter.  Exponents are
     rescaled with integer arithmetic only, and no coefficient is touched.
@@ -175,16 +180,7 @@ def _aligned(b1: PuiseuxBranch, b2: PuiseuxBranch):
     s1 = {m * f1: a for m, a in b1.terms}
     s2 = {term[0] * f2: term for term in b2.terms}
     limit = min(b1.truncation * f1, b2.truncation * f2)
-    return n, limit, math.lcm(b1.field_order, b2.field_order), s1, s2
-
-
-def _turned(b2: PuiseuxBranch, c: CyclotomicNumber, r: int, order: int) -> CyclotomicNumber:
-    """zeta_n2^r * c for a coefficient c of b2, lifted into Q(zeta_order).
-
-    b2's coefficient at its exponent m in its k-th conjugate is the one
-    with r = k*m mod n2.
-    """
-    return (c.rotate(r * (b2.field_order // b2.n)) if r else c).lift(order)
+    return n, limit, s1, s2
 
 
 def _walk(b1: PuiseuxBranch, b2: PuiseuxBranch, ks):
@@ -195,12 +191,13 @@ def _walk(b1: PuiseuxBranch, b2: PuiseuxBranch, ks):
     up to the last one at which both are known, carrying the conjugates
     that still agree: conjugate k drops out at the first s-exponent where
     it differs from b1, and that int is its order, over n = lcm(n1, n2).
-    At each exponent b1's coefficient is lifted once and b2's is rotated
-    once per residue k*m mod n2 among the conjugates left.  Returns n,
-    the limit of the walk and one order per k in ``ks``, None for a
-    conjugate that agrees at every known exponent.
+    At each exponent the two coefficients are lifted once into the
+    smallest field that holds both and zeta_n2 (:func:`_lifted`), and
+    b2's is rotated once per residue k*m mod n2 among the conjugates
+    left.  Returns n, the limit of the walk and one order per k in
+    ``ks``, None for a conjugate that agrees at every known exponent.
     """
-    n, limit, order, s1, s2 = _aligned(b1, b2)
+    n, limit, s1, s2 = _aligned(b1, b2)
     orders = dict.fromkeys(ks)
     left = list(orders)
     for e in sorted(s1.keys() | s2.keys()):
@@ -211,15 +208,15 @@ def _walk(b1: PuiseuxBranch, b2: PuiseuxBranch, ks):
             for k in left:
                 orders[k] = e
             break
-        a = a.lift(order)
         m, c = term
+        a, c = _lifted(a, c, b2.n)
         agrees: dict[int, bool] = {}
         kept = []
         for k in left:
             r = k * m % b2.n
             same = agrees.get(r)
             if same is None:
-                same = agrees[r] = _turned(b2, c, r, order) == a
+                same = agrees[r] = _turned(c, r, b2.n) == a
             if same:
                 kept.append(k)
             else:
@@ -241,7 +238,6 @@ def difference_order(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0) -> Fracti
 
     Both series are rescaled to the common parameter s with x = s^lcm(n1,n2);
     the result is the smallest differing s-exponent divided by the lcm.
-    This is :func:`difference_orders` restricted to the one conjugate k.
     Raises TruncationExceeded, carrying the lower bound (limit+1)/lcm,
     when every comparable term agrees.
     """
@@ -251,34 +247,30 @@ def difference_order(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0) -> Fracti
     return Fraction(e, n)
 
 
+_ABSENT = CyclotomicNumber.zero(1)
+
+
 def difference_series(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0):
     """b1 minus the k-th conjugate of b2 as an exact series in s, x = s^n.
 
     Returns n = lcm(n1, n2) and the ((e, coeff), ...) terms of the
-    difference in increasing s-exponent, in the pair's field.  Every known
-    term of either branch takes part, whatever the other's truncation;
-    terms whose coefficients cancel exactly are dropped, so an empty
-    series means the two agree in every known term.  This is the term
-    walk of :func:`difference_order` without its early exit.
+    difference in increasing s-exponent, each coefficient in the smallest
+    field that holds the two it comes from and zeta_n2 (a missing one
+    counts as 0 in Q(zeta_1)).  Every known term of either branch takes
+    part, whatever the other's truncation; terms whose coefficients
+    cancel exactly are dropped, so an empty series means the two agree in
+    every known term.  This is the term walk of :func:`difference_order`
+    without its early exit.
     """
-    n, _, order, s1, s2 = _aligned(b1, b2)
+    n, _, s1, s2 = _aligned(b1, b2)
     terms = []
     for e in sorted(s1.keys() | s2.keys()):
-        a, term = s1.get(e), s2.get(e)
-        a = None if a is None else a.lift(order)
-        b = None if term is None else _turned(b2, term[1], k * term[0] % b2.n, order)
-        d = a if b is None else -b if a is None else a - b
+        m, c = s2.get(e, (0, _ABSENT))
+        a, c = _lifted(s1.get(e, _ABSENT), c, b2.n)
+        d = a - _turned(c, k * m % b2.n, b2.n)
         if not d.is_zero():
             terms.append((e, d))
     return n, tuple(terms)
-
-
-def difference_orders(b1: PuiseuxBranch, b2: PuiseuxBranch) -> list:
-    """The conjugate sweep of a pair: ``difference_order(b1, b2, k)`` for each
-    conjugate k of b2, or the TruncationExceeded that blocked it, all from
-    one walk over the pair's terms."""
-    n, limit, orders = _walk(b1, b2, range(b2.n))
-    return [_inconclusive(n, limit) if e is None else Fraction(e, n) for e in orders]
 
 
 @dataclass(frozen=True)
@@ -319,7 +311,7 @@ class CurveGerm:
 
 
 def germ(branches) -> CurveGerm:
-    """Build a germ from branches, each kept in the field it was built in."""
+    """Build a germ from branches, each coefficient kept in the field it was built in."""
     return CurveGerm(tuple(branches))
 
 
@@ -337,10 +329,10 @@ def germ(branches) -> CurveGerm:
 # }
 #
 # A "cyclotomic" coefficient lists [q, k] pairs meaning sum of q * zeta^k
-# with zeta of order "zeta_order".  A branch with only rational
-# coefficients is read into Q(zeta_n), any other into Q(zeta_M) with
-# M = lcm(zeta_order, n).  Writing a germ sets "zeta_order" to the lcm of
-# the n's and of the orders of the non-rational coefficients.
+# with zeta of order "zeta_order", and is read into Q(zeta_order); one
+# whose value is rational, like a "rational" one, into Q(zeta_1).
+# Writing a germ sets "zeta_order" to the lcm of the orders of the
+# non-rational coefficients (1 when there are none).
 
 
 def _require(cond, message):
@@ -373,8 +365,7 @@ def _coefficient(node, declared_order: int) -> Fraction | CyclotomicNumber:
         _require(isinstance(entries, list), "'cyclotomic' must be a list of [q, k] pairs")
         for entry in entries:
             _require(
-                isinstance(entry, list) and len(entry) == 2
-                and isinstance(entry[1], int) and not isinstance(entry[1], bool),
+                isinstance(entry, list) and len(entry) == 2 and _is_int(entry[1]),
                 f"bad cyclotomic entry {entry!r}: expected [\"p/q\", k]",
             )
         c = _reduced(declared_order, [(k, _rational(q)) for q, k in entries])
@@ -392,13 +383,13 @@ def germ_from_dict(data) -> CurveGerm:
         _require(isinstance(node, dict), "each branch must be an object")
         n = node.get("n")
         _require(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 1,
+            _is_int(n) and n >= 1,
             "branch field 'n' must be a positive integer",
         )
         mults.append(n)
     declared = data.get("zeta_order", math.lcm(*mults))
     _require(
-        isinstance(declared, int) and not isinstance(declared, bool) and declared >= 1,
+        _is_int(declared) and declared >= 1,
         "'zeta_order' must be a positive integer",
     )
 
@@ -406,8 +397,7 @@ def germ_from_dict(data) -> CurveGerm:
     for idx, node in enumerate(raw):
         truncation = node.get("truncation")
         _require(
-            isinstance(truncation, int) and not isinstance(truncation, bool)
-            and truncation >= 1,
+            _is_int(truncation) and truncation >= 1,
             f"branch {idx}: 'truncation' must be a positive integer",
         )
         raw_terms = node.get("terms", [])
@@ -420,7 +410,7 @@ def germ_from_dict(data) -> CurveGerm:
             )
             exp = t["exp"]
             _require(
-                isinstance(exp, int) and not isinstance(exp, bool) and exp >= 1,
+                _is_int(exp) and exp >= 1,
                 f"branch {idx}: term exponent must be a positive integer",
             )
             terms.append((exp, _coefficient(t["coeff"], declared)))
@@ -455,10 +445,7 @@ def _coefficient_to_dict(c: CyclotomicNumber, order: int) -> dict:
 
 def germ_to_dict(g: CurveGerm) -> dict:
     """Serialize a germ back into the file format; round-trips exactly."""
-    order = math.lcm(
-        *(b.n for b in g.branches),
-        *(c.order for b in g.branches for _, c in b.terms if not c.is_rational()),
-    )
+    order = math.lcm(*(c.order for b in g.branches for _, c in b.terms if not c.is_rational()))
     return {
         "zeta_order": order,
         "branches": [

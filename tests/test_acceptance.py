@@ -6,6 +6,7 @@ to see the lines as they go by.
 """
 
 import itertools
+import math
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -85,10 +86,11 @@ def test_criterion_3_intersection_oracle_equivalence():
                         out[e1 + e2] = c1 * c2 if prior is None else prior + c1 * c2
                 return out
 
-            y = dict(b.terms)
+            order = math.lcm(*(c.order for _, c in b.terms))
+            y = {m: c.lift(order) for m, c in b.terms}
             total = {}
             for (i, j), c in sorted(monomials.items()):
-                term = {i * b.n: CyclotomicNumber.from_rational(b.field_order, c)}
+                term = {i * b.n: CyclotomicNumber.from_rational(order, c)}
                 for _ in range(j):
                     term = mul(term, y)
                 for e, coeff in term.items():

@@ -8,8 +8,6 @@ any other test.  This test only reads ``bench/``.
 """
 
 import importlib.util
-import itertools
-import math
 import pathlib
 from fractions import Fraction
 
@@ -56,15 +54,14 @@ def test_tracer_counts_one_sweep_and_no_per_conjugate_call():
 
 def test_tracer_sees_only_pair_fields():
     # Fields 3, 5 and 7 (lcm 105, degree 48): each pair compares its shared
-    # x^2 coefficient in its own field, the largest of which is 35.
+    # rational x^2 coefficient in the smallest field that holds it and the
+    # second branch's roots of unity, the largest of which is Q(zeta_7);
+    # every pair parts before it reaches a coefficient with a root of unity.
     branches = [
         branch(3, [(6, 1), (7, zeta(3))]),
         branch(5, [(10, 1), (11, zeta(5))]),
         branch(7, [(14, 1), (15, zeta(7))]),
     ]
-    largest = max(
-        math.lcm(a.field_order, b.field_order) for a, b in itertools.combinations(branches, 2)
-    )
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
@@ -73,5 +70,4 @@ def test_tracer_sees_only_pair_fields():
         tracer.uninstall()
     _, counts = tracer.take()
     assert report.contact[1][2] == Fraction(15, 7)
-    assert largest == 35 < math.lcm(3, 5, 7)
-    assert counts["cyclotomic.max_field_degree"] == field_degree(largest) == 24
+    assert counts["cyclotomic.max_field_degree"] == field_degree(7) == 6

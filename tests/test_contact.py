@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -40,8 +41,8 @@ def _series_mul(p, q):
 
 def substitution_order(monomials, b):
     """monomials: {(i, j): rational} for f = sum c * x^i * y^j."""
-    order = b.field_order
-    y = dict(b.terms)
+    order = math.lcm(*(c.order for _, c in b.terms))
+    y = {m: c.lift(order) for m, c in b.terms}
     total = {}
     for (i, j), c in sorted(monomials.items()):
         term = {i * b.n: CyclotomicNumber.from_rational(order, c)}
@@ -156,10 +157,11 @@ ORACLE_PAIRS = [
 def test_conjugate_sum_formula_matches_substitution(label, b1, implicit, b2):
     # sanity: the implicit equation really vanishes along its own branch,
     # i.e. substituting b2 kills everything the truncation can see
-    y2 = dict(b2.terms)
+    order = math.lcm(*(c.order for _, c in b2.terms))
+    y2 = {m: c.lift(order) for m, c in b2.terms}
     residual = {}
     for (i, j), c in implicit.items():
-        term = {i * b2.n: CyclotomicNumber.from_rational(b2.field_order, c)}
+        term = {i * b2.n: CyclotomicNumber.from_rational(order, c)}
         for _ in range(j):
             term = _series_mul(term, y2)
         for e, coeff in term.items():

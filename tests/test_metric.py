@@ -359,7 +359,8 @@ def test_witness_arcs_slopes_match_the_characteristic_exponent():
     base, quarter, twisted, counter = witness_arcs(b, 1, radii)
     assert abs(estimate_contact(base, twisted, radii).slope - 2.5) < 0.1
     assert abs(estimate_contact(base, quarter, radii).slope - 1.0) < 0.05
-    assert counter.meta["role"] == "twisted_three_quarter_turn"
+    # the fourth arc turns the twisted one by three quarters: x by -i
+    assert np.allclose(counter.points[:, 0], -1j * base.points[:, 0], rtol=1e-12)
     # the twisted arc starts on the other sheet: sign flip on t^5
     assert np.allclose(twisted.points[:, 1], -base.points[:, 1], rtol=1e-12)
     # the quarter turn rotates x by i

@@ -150,15 +150,20 @@ def test_germ_files_round_trip(generated_germs):
         assert germ_to_dict(germ_from_dict(doc)) == doc
 
 
-def lift_branch(b, field_order):
-    """Oracle: the branch moved into Q(zeta_field_order), as germs once
-    lifted every branch into the lcm of all their fields."""
-    terms = tuple((m, c.lift(field_order)) for m, c in b.terms)
-    return PuiseuxBranch(b.n, terms, b.truncation, field_order)
+def _branch_field(b):
+    """Oracle: the one field that holds all of a branch's coefficients and
+    its conjugating roots of unity, lcm(n, coefficient orders)."""
+    return math.lcm(b.n, *(c.order for _, c in b.terms))
+
+
+def lift_branch(b, order):
+    """Oracle: the branch with every coefficient moved into Q(zeta_order),
+    as germs once lifted every branch into the lcm of all their fields."""
+    return PuiseuxBranch(b.n, tuple((m, c.lift(order)) for m, c in b.terms), b.truncation)
 
 
 def _in_one_field(g):
-    order = math.lcm(*(b.field_order for b in g.branches))
+    order = math.lcm(*(_branch_field(b) for b in g.branches))
     return germ([lift_branch(b, order) for b in g.branches])
 
 
@@ -173,9 +178,9 @@ def test_pair_fields_agree_with_one_germ_wide_field(generated_germs):
             characteristic_data(b) for b in g.branches
         ]
         for b1, b2 in itertools.permutations(g.branches, 2):
-            if b1.field_order == b2.field_order:
+            if _branch_field(b1) == _branch_field(b2):
                 continue
-            order = math.lcm(b1.field_order, b2.field_order)
+            order = math.lcm(_branch_field(b1), _branch_field(b2))
             l1, l2 = lift_branch(b1, order), lift_branch(b2, order)
             assert contact(b1, b2) == contact(l1, l2)
             assert intersection_multiplicity(b1, b2) == intersection_multiplicity(l1, l2)

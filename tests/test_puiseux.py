@@ -25,7 +25,7 @@ from curvegerm import (
 )
 from curvegerm import cyclotomic
 from curvegerm.cyclotomic import field_degree
-from curvegerm.puiseux import ConsistencyError, difference_orders, difference_series
+from curvegerm.puiseux import ConsistencyError, difference_series
 
 
 def test_parse_single_cusp():
@@ -38,7 +38,7 @@ def test_parse_single_cusp():
     assert b.exponents == (5,)
     assert b.terms[0][1] == 1
     assert b.truncation == 5
-    assert b.field_order == 2
+    assert b.terms[0][1].order == 1  # a rational coefficient lives in Q(zeta_1)
 
 
 def test_parse_smooth_branch():
@@ -126,8 +126,8 @@ def test_parse_lifts_into_the_session_field():
         ],
     }
     g = germ_from_dict(doc)
-    assert g.branches[0].field_order == 6  # lcm(zeta_order=3, n=2)
-    assert g.branches[0].terms[0][1] == zeta(3).lift(6)
+    # read into Q(zeta_3), the declared field, not into lcm(zeta_order, n) = 6
+    assert g.branches[0].terms[0][1] == zeta(3)
 
 
 def test_tangent_to_y_axis_is_rejected():
@@ -140,9 +140,26 @@ def test_exponent_above_truncation_is_rejected():
         branch(1, [(5, 1)], truncation=4)
 
 
-def test_field_order_must_be_multiple_of_n():
-    with pytest.raises(GermValidationError, match="multiple"):
-        PuiseuxBranch(2, (), 5, 3)
+@pytest.mark.parametrize(
+    "n,exponent,truncation,message",
+    [
+        (True, True, 4, "multiplicity"),
+        (1, True, 4, "exponents"),
+        (2.0, 3, 4, "multiplicity"),
+        (2, 3.0, 4, "exponents"),
+        (2, 3, 4.0, "truncation"),
+        (2, 3, True, "truncation"),
+    ],
+)
+def test_shape_values_must_be_ints(n, exponent, truncation, message):
+    with pytest.raises(GermValidationError, match=message):
+        branch(n, [(exponent, 1)], truncation=truncation)
+
+
+def test_field_order_stores_every_coefficient_in_one_field():
+    b = branch(2, [(3, 1), (4, zeta(3))], truncation=5, field_order=3)
+    assert [c.order for _, c in b.terms] == [3, 3]
+    assert b == branch(2, [(3, 1), (4, zeta(3))], truncation=5)
 
 
 def test_conjugate_identity():
@@ -258,27 +275,46 @@ def test_branches_from_different_fields_compare_in_their_pair_field():
     assert difference_order(b1, b2) == 3
     assert difference_order(branch(2, [(3, 1)]), branch(3, [(4, zeta(3))])) == Fraction(4, 3)
     g = CurveGerm((b1, b2))
-    assert [b.field_order for b in g.branches] == [2, 3]
+    assert [[c.order for _, c in b.terms] for b in g.branches] == [[2], [3, 3]]
     # the storage field is not part of a branch's value
     lifted = branch(1, [(2, 1), (3, 1)], truncation=4, field_order=6)
     assert lifted == b2 and hash(lifted) == hash(b2) and lifted != b1
     assert germ([b1, lifted]) == g
 
 
-def test_mixed_multiplicities_build_only_pair_fields(monkeypatch):
+def _zeta3_branches(multiplicities):
     # Each branch starts with zeta_3 x^2, so every pair compares that
-    # coefficient: in the lcm of the two branch fields, at most
-    # lcm(33, 39) = 429, never in the lcm of all five, 72072.
-    branches = [branch(n, [(2 * n, zeta(3)), (2 * n + 1, 1)]) for n in (7, 8, 9, 11, 13)]
-    largest = max(
-        math.lcm(a.field_order, b.field_order) for a, b in itertools.combinations(branches, 2)
-    )
+    # coefficient, in Q(zeta_L) with L = lcm(3, n2): at most lcm(3, 13) = 39
+    # for these, where the lcm of the branch fields lcm(3, n1, n2) would
+    # reach lcm(33, 39) = 429 and the lcm of all five 72072.
+    return [branch(n, [(2 * n, zeta(3)), (2 * n + 1, 1)]) for n in multiplicities]
+
+
+def _record_power_bases(monkeypatch):
     basis, built = cyclotomic._power_basis, []
     basis.cache_clear()
     monkeypatch.setattr(cyclotomic, "_power_basis", lambda n: built.append(n) or basis(n))
-    report = contact_report(germ(branches))
+    return built
+
+
+def test_mixed_multiplicities_build_only_pair_fields(monkeypatch):
+    built = _record_power_bases(monkeypatch)
+    report = contact_report(germ(_zeta3_branches((7, 8, 9, 11, 13))))
     assert report.contact[3][4] == Fraction(27, 13) and report.intersection[3][4] == 11 * 27
-    assert largest == 429 and 429 in built and max(built) <= largest
+    assert 39 in built and max(built) <= 39 and 429 not in built
+
+
+def test_germ_file_of_mixed_multiplicities_needs_only_the_coefficient_field(monkeypatch):
+    built = _record_power_bases(monkeypatch)
+    g = germ(_zeta3_branches((7, 8, 9, 11, 13)))
+    doc = germ_to_dict(g)
+    assert doc["zeta_order"] == 3
+    assert doc["branches"][4]["terms"][0] == {"exp": 26, "coeff": {"cyclotomic": [["1", 1]]}}
+    again = germ_from_dict(doc)
+    assert again == g and germ_to_dict(again) == doc
+    assert max(built) <= 39
+    rational = germ([branch(2, [(3, 1)]), branch(3, [(4, Fraction(1, 2))])])
+    assert germ_to_dict(rational)["zeta_order"] == 1
 
 
 def test_serialization_round_trips_exactly():
@@ -304,22 +340,22 @@ def _dense_coefficient(rng, order):
 
 
 def _kernel_pair(rng):
-    """A branch pair in Q(zeta_N), N in {12, 120, 210, 420} times the
-    multiplicities, whose second branch is often a perturbed conjugate of
-    the first, so comparisons agree for several exponents or run into
-    the truncation."""
+    """A branch pair with coefficients in Q(zeta_N), N in {12, 120, 210,
+    420}, the second's often in Q(zeta_lcm(N, n1, n2)) as a perturbed
+    conjugate of the first, so comparisons agree for several exponents or
+    run into the truncation."""
     base = rng.choice((12, 120, 210, 420))
     n1 = rng.randint(1, 9)
     scale = rng.choice((1, 1, 2, 3))
     n2 = n1 * scale if n1 * scale <= 9 else rng.randint(1, 9)
     field = math.lcm(base, n1, n2)
     exps = sorted(rng.sample(range(n1, 4 * n1 + 6), rng.randint(1, 4)))
-    terms1 = [(m, _dense_coefficient(rng, base).lift(field)) for m in exps]
-    b1 = PuiseuxBranch(n1, tuple(terms1), exps[-1] + rng.randint(0, 3), field)
+    terms1 = [(m, _dense_coefficient(rng, base)) for m in exps]
+    b1 = PuiseuxBranch(n1, tuple(terms1), exps[-1] + rng.randint(0, 3))
     if n2 == n1 * scale and rng.random() < 0.8:
         j = rng.randrange(n2)
         twist = field // n2 * j
-        terms2 = {m * scale: c * zeta(field, -twist * m * scale) for m, c in terms1}
+        terms2 = {m * scale: c.lift(field) * zeta(field, -twist * m * scale) for m, c in terms1}
         if rng.random() < 0.5:
             m = rng.choice(sorted(terms2))
             terms2[m] = terms2[m] + _dense_coefficient(rng, base).lift(field)
@@ -333,7 +369,7 @@ def _kernel_pair(rng):
         exps2 = sorted(rng.sample(range(n2, 4 * n2 + 6), rng.randint(1, 4)))
         terms2 = {m: _dense_coefficient(rng, base).lift(field) for m in exps2}
         truncation2 = exps2[-1] + rng.randint(0, 3)
-    b2 = PuiseuxBranch(n2, tuple(sorted(terms2.items())), truncation2, field)
+    b2 = PuiseuxBranch(n2, tuple(sorted(terms2.items())), truncation2)
     return b1, b2
 
 
@@ -354,10 +390,6 @@ def test_difference_order_never_builds_the_conjugate_it_compares_against():
         sweep = [_outcome(difference_order, b1, b2, k) for k in range(b2.n)]
         for k in range(b2.n):
             assert sweep[k] == _outcome(difference_order, b1, conjugate(b2, k)), (b1, b2, k)
-        assert [
-            v if isinstance(v, Fraction) else ("blocked", str(v), v.lower_bound)
-            for v in difference_orders(b1, b2)
-        ] == sweep
         blocked += sum(isinstance(v, tuple) for v in sweep)
         first = min(b1.exponents[0] / b1.n, b2.exponents[0] / b2.n if b2.terms else 99)
         deep += sum(isinstance(v, Fraction) and v > first for v in sweep)
@@ -366,19 +398,25 @@ def test_difference_order_never_builds_the_conjugate_it_compares_against():
 
 # --- oracle: one walk per conjugate ----------------------------------------
 #
-# The per-conjugate comparison the pair walk replaced, kept as it was:
-# both series rescaled to x = s^lcm(n1, n2) for each k, and the sorted
-# exponent union walked until the first difference.
+# The per-conjugate comparison the pair walk replaced: both series
+# rescaled to x = s^lcm(n1, n2) for each k, and the sorted exponent union
+# walked until the first difference.  Every coefficient is compared in one
+# big field, the lcm of n2 and of all coefficient orders of both branches,
+# as an independent check of the walk's per-pair fields.
+
+
+def _pair_field(b1, b2):
+    return math.lcm(b2.n, *(c.order for b in (b1, b2) for _, c in b.terms))
 
 
 def _oracle_aligned(b1, b2, k):
-    order = math.lcm(b1.field_order, b2.field_order)
+    order = _pair_field(b1, b2)
     n = math.lcm(b1.n, b2.n)
     f1, f2 = n // b1.n, n // b2.n
-    step = (k % b2.n) * (b2.field_order // b2.n)
+    step = (k % b2.n) * (order // b2.n)
 
     def turn(e, c):
-        return (c.rotate(e // f2 * step) if step else c).lift(order)
+        return c.lift(order).rotate(e // f2 * step)
 
     s1 = {m * f1: c for m, c in b1.terms}
     s2 = {m * f2: c for m, c in b2.terms}
@@ -401,10 +439,6 @@ def _oracle_difference_order(b1, b2, k=0):
 
 def _assert_walk_matches_the_oracle(b1, b2):
     expected = [_outcome(_oracle_difference_order, b1, b2, k) for k in range(b2.n)]
-    assert [
-        v if isinstance(v, Fraction) else ("blocked", str(v), v.lower_bound)
-        for v in difference_orders(b1, b2)
-    ] == expected, (b1, b2)
     assert [_outcome(difference_order, b1, b2, k) for k in range(b2.n)] == expected, (b1, b2)
     for k in (-1, b2.n + 1):
         assert _outcome(difference_order, b1, b2, k) == expected[k % b2.n], (b1, b2, k)
@@ -483,14 +517,15 @@ def test_difference_series_is_the_term_by_term_difference_with_the_conjugate():
     rng = random.Random(2718)
     for _ in range(30):
         b1, b2 = _kernel_pair(rng)
-        n = math.lcm(b1.n, b2.n)
+        n, big = math.lcm(b1.n, b2.n), _pair_field(b1, b2)
         for k in range(b2.n):
-            expected = {m * (n // b1.n): c for m, c in b1.terms}
+            expected = {m * (n // b1.n): c.lift(big) for m, c in b1.terms}
             for m, c in conjugate(b2, k).terms:
                 e = m * (n // b2.n)
-                expected[e] = expected.get(e, CyclotomicNumber.zero(b1.field_order)) - c
-            expected = tuple((e, c) for e, c in sorted(expected.items()) if not c.is_zero())
-            assert difference_series(b1, b2, k) == (n, expected)
+                expected[e] = expected.get(e, CyclotomicNumber.zero(big)) - c.lift(big)
+            expected = [(e, c) for e, c in sorted(expected.items()) if not c.is_zero()]
+            got_n, got = difference_series(b1, b2, k)
+            assert got_n == n and [(e, d.lift(big)) for e, d in got] == expected
             order = _outcome(difference_order, b1, b2, k)
             if isinstance(order, Fraction):
                 assert order == Fraction(expected[0][0], n)
