@@ -2,16 +2,16 @@
 
 The contact of two germs at the origin is the limiting slope of
 ln(gap(r)) against ln(r).  For two branches, gap(r) is the smallest
-|y1 - y2| between points of the two branches over the same x, taken
-over a sweep of x on the circle |x| = r and over every pair of
-conjugates; each difference is evaluated from the exact difference
-series, so terms that cancel never reach floating point.  For two
-sampled arcs, gap(r) is the distance between their points of equal
-index.  This module samples arcs on branches over geometric radius
-grids, takes the gap at every grid radius, and estimates the slope by
-least squares, reporting the fit quality.  It is the numeric
-cross-check for the exact contact computation, and it also exercises
-the distortion bounds a radial Holder map must satisfy.
+|y1 - y2| over the same x, swept over the circle |x| = r and over every
+pair of conjugates.  Each difference comes from the exact difference
+series, so terms that cancel never reach floating point, and each
+conjugate takes one matrix product: its coefficients times roots of
+unity from one table, times real powers of the radii.  For two sampled
+arcs, gap(r) is the distance between their points of equal index.  The
+slope is a least-squares fit in closed form, from centred sums, and
+comes with its r^2.  This is the numeric cross-check for the exact
+contact computation; it also exercises the distortion bounds a radial
+Holder map must satisfy.
 
 Everything here is double precision; by default radii below 1e-6 are
 excluded so cancellation inside a sampled arc does not drown the signal.
@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from curvegerm.invariants import characteristic_data
-from curvegerm.puiseux import PuiseuxBranch, conjugate, difference_series
+from curvegerm.puiseux import PuiseuxBranch, _is_int, conjugate, difference_series
 
 #: Radii below this are dropped from default grids.
 DEFAULT_MIN_RADIUS = 1e-6
@@ -43,8 +43,8 @@ _GAP_FLOOR = float(np.finfo(float).tiny)
 
 def geometric_grid(r_max: float = 1e-1, r_min: float = 1e-4, count: int = 16) -> np.ndarray:
     """Strictly decreasing geometric radius grid from r_max down to r_min."""
-    if not 0 < r_min < r_max:
-        raise ValueError("need 0 < r_min < r_max")
+    if not 0 < r_min < r_max < math.inf:
+        raise ValueError("need 0 < r_min < r_max < inf")
     if count < 2:
         raise ValueError("need at least two grid points")
     return np.geomspace(r_max, r_min, count)
@@ -68,7 +68,8 @@ class ArcSample:
 def _validate_t_grid(grid: np.ndarray):
     if grid.size == 0:
         raise ValueError("empty grid")
-    if np.any(grid <= 0) or np.any(np.diff(grid) >= 0):
+    # written so that NaN fails: every comparison with it is False
+    if not ((grid > 0).all() and (np.diff(grid) < 0).all()):
         raise ValueError("grid must be strictly decreasing and positive")
     if grid[0] > 0.5 * (1 + 1e-12):
         raise ValueError(
@@ -113,11 +114,7 @@ class ContactEstimate:
     window: tuple[float, float]
 
     def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "r_squared": self.r_squared,
-            "window": [self.window[0], self.window[1]],
-        }
+        return {"slope": self.slope, "r_squared": self.r_squared, "window": list(self.window)}
 
 
 def _fit_loglog(radii: np.ndarray, gaps: np.ndarray) -> ContactEstimate:
@@ -125,13 +122,16 @@ def _fit_loglog(radii: np.ndarray, gaps: np.ndarray) -> ContactEstimate:
         raise ValueError(f"need at least {_FIT_POINTS} grid points for a contact estimate")
     if np.any(gaps <= 0):
         raise ValueError("zero gap encountered: the sampled sets overlap")
-    lr, lg = np.log(radii), np.log(gaps)
-    if np.ptp(lg) == 0:
+    x, y = np.log(radii), np.log(gaps)
+    if np.ptp(x) == 0:
+        raise ValueError("degenerate regression: all radii are equal")
+    if np.ptp(y) == 0:
         raise ValueError("degenerate regression: all gaps are equal")
-    slope, intercept = np.polyfit(lr, lg, 1)
-    residuals = lg - (slope * lr + intercept)
-    r_squared = 1.0 - float((residuals**2).sum()) / float(((lg - lg.mean()) ** 2).sum())
-    return ContactEstimate(float(slope), r_squared, (float(radii.min()), float(radii.max())))
+    x, y = x - x.mean(), y - y.mean()
+    slope = float(x @ y) / float(x @ x)
+    residuals = y - slope * x
+    r_squared = 1.0 - float(residuals @ residuals) / float(y @ y)
+    return ContactEstimate(slope, r_squared, (float(radii.min()), float(radii.max())))
 
 
 def estimate_contact(a: ArcSample, b: ArcSample, grid) -> ContactEstimate:
@@ -143,32 +143,35 @@ def estimate_contact(a: ArcSample, b: ArcSample, grid) -> ContactEstimate:
 
 
 def branch_gap_profile(
-    b1: PuiseuxBranch,
-    b2: PuiseuxBranch,
-    radii,
-    angles: int = DEFAULT_ANGLES,
+    b1: PuiseuxBranch, b2: PuiseuxBranch, radii, angles: int = DEFAULT_ANGLES
 ) -> np.ndarray:
     """Per-radius gap between the two branches at equal x.
 
     Over each x = r * exp(2*pi*i*j/angles) the branches have n1 and n2
     y-values; the gap at r is the smallest |y1 - y2| over those n1*n2
-    pairs and over all angles j.  Each difference is evaluated from the
-    exact series b1 - conj_k(b2) in s, x = s^n with n = lcm(n1, n2):
-    the n1*angles values s = r^(1/n) * exp(2*pi*i*m/(n*angles)) lie over
-    every x of the sweep, with sheet m // angles of b1 against sheet
-    m // angles + k of b2.  Raises ValueError when some conjugate pair
-    agrees in every known term, since its gap is zero at every radius,
-    and when a gap underflows the smallest normal double, naming the
-    first radius where it does.
+    pairs and over all angles j.  Each difference comes from the exact
+    series b1 - conj_k(b2) = sum of d_e * s^e, x = s^n, n = lcm(n1, n2),
+    at the n1*angles points s = rho * w^m, rho = r^(1/n) and
+    w = exp(2*pi*i/(n*angles)), which lie over every x of the sweep (sheet
+    m // angles of b1 against sheet m // angles + k of b2).  As s^e =
+    w^(m*e mod n*angles) * rho^e, conjugate k takes one product of the
+    complex U[m, e] = d_e * w^(m*e), read from one table of roots of
+    unity, and the real V[e, r] = rho^e.  ``angles`` is an int >= 1.
+    Raises ValueError when a conjugate pair agrees in every known term
+    (its gap is zero at every radius) and when a gap underflows the
+    smallest normal double, naming the first radius where it does.
     """
+    if not _is_int(angles):
+        raise ValueError(f"angles must be an int, got {angles!r}")
     if angles < 1:
         raise ValueError(f"angles must be at least 1, got {angles}")
     radii = np.asarray(radii, dtype=float)
     for b in (b1, b2):
         _validate_t_grid(radii ** (1.0 / b.n))
     n = math.lcm(b1.n, b2.n)
-    phases = np.exp(2j * math.pi * np.arange(b1.n * angles) / (n * angles))
-    s = phases[:, None] * radii ** (1.0 / n)
+    roots = np.exp(2j * math.pi * np.arange(n * angles) / (n * angles))
+    m = np.arange(b1.n * angles)[:, None]
+    rho = radii ** (1.0 / n)
     gaps = np.full(radii.size, np.inf)
     for k in range(b2.n):
         _, terms = difference_series(b1, b2, k)
@@ -178,8 +181,9 @@ def branch_gap_profile(
                 f"zero gap: conjugate {k} of the second branch agrees with the first "
                 f"in every known term, up to order {known} in x"
             )
-        dy = sum(d.to_complex() * s**e for e, d in terms)
-        gaps = np.minimum(gaps, np.abs(dy).min(axis=0))
+        exps = np.array([e for e, _ in terms])
+        u = np.array([d.to_complex() for _, d in terms]) * roots[m * exps % roots.size]
+        gaps = np.minimum(gaps, np.abs(u @ rho ** exps[:, None]).min(axis=0))
     low = np.flatnonzero(gaps < _GAP_FLOOR)
     if low.size:
         raise ValueError(
@@ -203,10 +207,7 @@ def default_branch_grid(*branches) -> np.ndarray:
 
 
 def estimate_branch_contact(
-    b1: PuiseuxBranch,
-    b2: PuiseuxBranch,
-    radii=None,
-    angles: int = DEFAULT_ANGLES,
+    b1: PuiseuxBranch, b2: PuiseuxBranch, radii=None, angles: int = DEFAULT_ANGLES
 ) -> ContactEstimate:
     """Numeric contact estimate for a pair of branches.
 
@@ -216,7 +217,8 @@ def estimate_branch_contact(
     if radii is None:
         radii = default_branch_grid(b1, b2)
     radii = np.asarray(radii, dtype=float)
-    radii = radii[radii >= DEFAULT_MIN_RADIUS]
+    # non-finite radii stay, so that the profile's grid check rejects them
+    radii = radii[(radii >= DEFAULT_MIN_RADIUS) | ~np.isfinite(radii)]
     return _fit_loglog(radii, branch_gap_profile(b1, b2, radii, angles))
 
 
@@ -258,11 +260,7 @@ class DistortionReport:
 
 
 def check_contact_distortion(
-    a: ArcSample,
-    b: ArcSample,
-    exponent: float,
-    grid=None,
-    tolerance: float = 0.1,
+    a: ArcSample, b: ArcSample, exponent: float, grid=None, tolerance: float = 0.1
 ) -> DistortionReport:
     """Verify that a radial Holder map distorts contact by at most alpha**2.
 

@@ -286,6 +286,16 @@ def test_exit_code_2_on_missing_file(capsys):
     assert payload["error_kind"] == "validation"
 
 
+@pytest.mark.parametrize("spec", ["inf,1e-4,16", "1e-1,nan,16"])
+def test_non_finite_grid_bound_is_a_usage_error(tmp_path, capsys, spec):
+    a = write(tmp_path, "a.json", AXIS)
+    b = write(tmp_path, "b.json", PARABOLA)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["estimate", a, b, "--grid", spec])
+    assert info.value.code == 2
+    assert "need 0 < r_min < r_max < inf" in capsys.readouterr().err
+
+
 def test_exit_code_4_on_out_of_range_grid(tmp_path, capsys):
     # an n=4 branch needs t-radii at most 0.5, i.e. x-radii at most 0.5^4
     a = write(tmp_path, "a.json", GENUS2)

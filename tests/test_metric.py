@@ -23,7 +23,8 @@ from curvegerm import (
     witness_arcs,
     zeta,
 )
-from curvegerm.metric import DEFAULT_MIN_RADIUS
+from curvegerm.metric import DEFAULT_MIN_RADIUS, _fit_loglog
+from curvegerm.puiseux import difference_series
 
 DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
 DEMO_BRANCHES = [b for path in sorted(DEMO_DATA.glob("*.json")) for b in load_germ(path).branches]
@@ -166,6 +167,104 @@ def test_branch_gap_profile_matches_the_all_pairs_gap_on_demo_pairs():
     # the axis appears in three demo files and the parabola in two
     assert coincident == 3 * 2 + 2
     assert compared == (10 * 9 - 8) * 16
+
+
+# The kernel that branch_gap_profile used before it read its angles from
+# a root-of-unity table: one complex power s**e per term on the full
+# (sample, radius) array, with the angle of s**e reduced in floating
+# point.  Kept here as an oracle.
+
+
+def _power_kernel(b1, b2, radii, angles):
+    n = math.lcm(b1.n, b2.n)
+    phases = np.exp(2j * math.pi * np.arange(b1.n * angles) / (n * angles))
+    s = phases[:, None] * radii ** (1.0 / n)
+    gaps = np.full(radii.size, np.inf)
+    for k in range(b2.n):
+        dy = sum(d.to_complex() * s**e for e, d in difference_series(b1, b2, k)[1])
+        gaps = np.minimum(gaps, np.abs(dy).min(axis=0))
+    return gaps
+
+
+def test_branch_gap_profile_matches_the_power_kernel_on_demo_pairs():
+    compared = coincident = 0
+    for b1, b2 in itertools.permutations(DEMO_BRANCHES, 2):
+        radii = default_branch_grid(b1, b2)
+        try:
+            new = branch_gap_profile(b1, b2, radii)
+        except ValueError as exc:
+            assert "zero gap: conjugate 0" in str(exc)
+            coincident += 1
+            continue
+        assert np.allclose(new, _power_kernel(b1, b2, radii, 64), rtol=1e-12, atol=0)
+        compared += 1
+    assert (coincident, compared) == (3 * 2 + 2, 10 * 9 - 8)
+
+
+def test_branch_gap_profile_matches_the_power_kernel_on_mixed_multiplicities(generated_germs):
+    shapes = set()
+    for _, g, _ in generated_germs:
+        for b1, b2 in itertools.permutations(g.branches, 2):
+            if b1.n != b2.n:
+                radii = default_branch_grid(b1, b2)
+                old = _power_kernel(b1, b2, radii, 64)
+                assert np.allclose(branch_gap_profile(b1, b2, radii), old, rtol=1e-12, atol=0)
+                shapes.add((b1.n, b2.n))
+    # every ordered pair of distinct multiplicities from 1 to 4
+    assert len(shapes) == 12
+
+
+def test_closed_form_fit_matches_polyfit():
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        radii = np.sort(rng.uniform(1e-6, 0.5, rng.integers(8, 40)))[::-1]
+        gaps = radii ** rng.uniform(0.5, 12) * np.exp(rng.normal(0, 0.5, radii.size))
+        x, y = np.log(radii), np.log(gaps)
+        slope, intercept = np.polyfit(x, y, 1)
+        residuals = y - (slope * x + intercept)
+        r_squared = 1 - (residuals**2).sum() / ((y - y.mean()) ** 2).sum()
+        est = _fit_loglog(radii, gaps)
+        assert est.slope == pytest.approx(slope, rel=1e-12)
+        assert abs(est.r_squared - r_squared) <= 1e-12
+        assert est.window == (radii[-1], radii[0])
+
+
+def test_fit_rejects_a_grid_of_equal_radii():
+    # the gaps differ, but a line through ten points at one radius has no slope
+    a = ArcSample(np.zeros((10, 2)))
+    b = ArcSample(np.column_stack([np.zeros(10), np.linspace(1, 2, 10)]))
+    with pytest.raises(ValueError, match="degenerate regression: all radii are equal"):
+        estimate_contact(a, b, np.full(10, 0.01))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_radii_are_rejected(bad):
+    parabola = branch(1, [(2, 1)], truncation=8)
+    radii = geometric_grid(0.1, 1e-3, 12)
+    radii[5] = bad
+    message = "grid must be strictly decreasing and positive"
+    with pytest.raises(ValueError, match=message):
+        branch_gap_profile(axis(), parabola, radii)
+    # the radius floor does not drop a non-finite radius and fit the rest
+    with pytest.raises(ValueError, match=message):
+        estimate_branch_contact(axis(), parabola, radii)
+    with pytest.raises(ValueError, match=message):
+        sample_branch_arc(parabola, 0, 0.0, radii)
+
+
+@pytest.mark.parametrize("bounds", [(math.inf, 1e-4), (math.nan, 1e-4), (0.1, math.nan)])
+def test_geometric_grid_needs_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="need 0 < r_min < r_max < inf"):
+        geometric_grid(*bounds, 16)
+
+
+@pytest.mark.parametrize("angles", [2.5, True, 64.0, "64"])
+def test_angles_must_be_an_int(angles):
+    b1, b2 = axis(), branch(1, [(2, 1)], truncation=8)
+    with pytest.raises(ValueError, match=f"angles must be an int, got {angles!r}"):
+        branch_gap_profile(b1, b2, geometric_grid(0.1, 1e-3, 12), angles)
+    with pytest.raises(ValueError, match=f"angles must be an int, got {angles!r}"):
+        estimate_branch_contact(b1, b2, angles=angles)
 
 
 @pytest.mark.parametrize("h", range(2, 13))
