@@ -32,7 +32,13 @@ at most r - 1 distinct contacts, so the list has at most
 1 + r**2 + (r - 1)**2 entries.
 
 All thresholds are exact rationals; the fourth root is applied only at
-presentation time.
+presentation time.  The scan compares values as unreduced int pairs
+(numerator, denominator) from ``_pair_ratio``, ``_branch_ratio`` and
+``_contact_ratio``, and k0 by cross-multiplication.  A ``Fraction`` is
+made only for a value handed out: each emitted obstruction, k0, and the
+result of a public obstruction function, which wraps the same helper.
+The checks of ``Obstruction`` and ``HolderVerdict`` compare the ints of
+those Fractions.
 """
 
 from __future__ import annotations
@@ -61,6 +67,16 @@ BASELINE = Fraction(1, 2)
 FORMAL_SMOOTH_PAIR = ((1, 1),)
 
 
+def _pair_ratio(pairs1, j: int, pairs2, i: int) -> tuple[int, int]:
+    """``pair_obstruction`` as an unreduced int pair (numerator, denominator).
+
+    With a, b > 0, min((a+b)/(2b), (a+b)/(2a)) = (a+b)/(2 max(a, b)).
+    """
+    a = pairs1[j - 1][0] * math.prod(q for _, q in pairs2[:i])
+    b = pairs2[i - 1][0] * math.prod(n for _, n in pairs1[:j])
+    return a + b, 2 * max(a, b)
+
+
 def pair_obstruction(pairs1, j: int, pairs2, i: int) -> Fraction:
     """Obstruction from the j-th characteristic pair of one branch against
     the i-th of another.
@@ -75,9 +91,29 @@ def pair_obstruction(pairs1, j: int, pairs2, i: int) -> Fraction:
         raise IndexError(f"pair index {j} out of range 1..{len(pairs1)}")
     if not 1 <= i <= len(pairs2):
         raise IndexError(f"pair index {i} out of range 1..{len(pairs2)}")
-    a = pairs1[j - 1][0] * math.prod(q for _, q in pairs2[:i])
-    b = pairs2[i - 1][0] * math.prod(n for _, n in pairs1[:j])
-    return min(Fraction(a + b, 2 * b), Fraction(a + b, 2 * a))
+    return Fraction(*_pair_ratio(pairs1, j, pairs2, i))
+
+
+def _branch_ratio(c1: CharacteristicData, c2: CharacteristicData) -> tuple[int, int] | None:
+    """``branch_obstruction`` as an unreduced int pair; None when the betas
+    agree."""
+    if c1.beta == c2.beta:
+        return None
+    p1 = c1.pairs or FORMAL_SMOOTH_PAIR
+    p2 = c2.pairs or FORMAL_SMOOTH_PAIR
+    g1, g2 = len(p1), len(p2)
+    if g1 == g2:
+        ratios = [_pair_ratio(p1, i, p2, i) for i in range(1, g1 + 1)]
+    elif g1 > g2:
+        ratios = [_pair_ratio(p1, j, p2, g2) for j in range(g2, g1 + 1)]
+    else:
+        ratios = [_pair_ratio(p1, g1, p2, i) for i in range(g1, g2 + 1)]
+    obstructing = [(num, den) for num, den in ratios if num != den]
+    best = obstructing[0]
+    for num, den in obstructing[1:]:
+        if num * best[1] > best[0] * den:
+            best = num, den
+    return best
 
 
 def branch_obstruction(c1: CharacteristicData, c2: CharacteristicData) -> Fraction:
@@ -90,28 +126,26 @@ def branch_obstruction(c1: CharacteristicData, c2: CharacteristicData) -> Fracti
     to 1 do not obstruct and are skipped (at most one index can produce
     them).
     """
-    if c1.beta == c2.beta:
-        return Fraction(1)
-    p1 = c1.pairs or FORMAL_SMOOTH_PAIR
-    p2 = c2.pairs or FORMAL_SMOOTH_PAIR
-    g1, g2 = len(p1), len(p2)
-    if g1 == g2:
-        values = [pair_obstruction(p1, i, p2, i) for i in range(1, g1 + 1)]
-    elif g1 > g2:
-        values = [pair_obstruction(p1, j, p2, g2) for j in range(g2, g1 + 1)]
-    else:
-        values = [pair_obstruction(p1, g1, p2, i) for i in range(g1, g2 + 1)]
-    obstructing = [v for v in values if v != 1]
-    return max(obstructing)
+    ratio = _branch_ratio(c1, c2)
+    return Fraction(1) if ratio is None else Fraction(*ratio)
+
+
+def _contact_ratio(cont1: int, cont2: int) -> tuple[int, int] | None:
+    """``contact_obstruction`` of two contacts given as int numerators over
+    one denominator, as an int pair; None when they agree."""
+    if cont1 == cont2:
+        return None
+    return (cont1, cont2) if cont1 < cont2 else (cont2, cont1)
 
 
 def contact_obstruction(cont1: Fraction, cont2: Fraction) -> Fraction:
     """Obstruction from a pair of contact exponents; 1 when they agree."""
     if cont1 < 1 or cont2 < 1:
         raise ValueError("contact exponents are always at least 1")
-    if cont1 == cont2:
-        return Fraction(1)
-    return min(Fraction(cont1, cont2), Fraction(cont2, cont1))
+    ratio = _contact_ratio(
+        cont1.numerator * cont2.denominator, cont2.numerator * cont1.denominator
+    )
+    return Fraction(1) if ratio is None else Fraction(*ratio)
 
 
 @dataclass(frozen=True)
@@ -134,7 +168,11 @@ class Obstruction:
     count: int = 1
 
     def __post_init__(self):
-        if not 0 < self.value <= 1:
+        if not isinstance(self.value, Fraction):
+            raise ConsistencyError(
+                f"obstruction value {self.value!r} is not an exact Fraction"
+            )
+        if not 0 < self.value.numerator <= self.value.denominator:
             raise ConsistencyError(f"obstruction value {self.value} outside (0, 1]")
         if self.count < 1:
             raise ConsistencyError(f"obstruction count {self.count} is not positive")
@@ -167,9 +205,18 @@ class HolderVerdict:
         if self.status == STATUS_EQUIVALENT:
             if self.matching is None:
                 raise ConsistencyError("equivalent verdict needs the branch bijection")
+            if sorted(self.matching) != list(range(len(self.matching))):
+                raise ConsistencyError(
+                    f"matching {self.matching} is not a bijection of the branches"
+                )
         elif self.status == STATUS_DISTINCT:
-            values = [o.value for o in self.obstructions]
-            if not values or self.k0 != max(values) or not self.k0 < 1:
+            if not isinstance(self.k0, Fraction):
+                raise ConsistencyError(f"k0 {self.k0!r} is not an exact Fraction")
+            # k0 = p/q is one of the values, none exceeds it, and p < q;
+            # Fractions are reduced, so equal values have equal ints
+            p, q = self.k0.numerator, self.k0.denominator
+            values = [(o.value.numerator, o.value.denominator) for o in self.obstructions]
+            if (p, q) not in values or any(a * q > p * b for a, b in values) or not p < q:
                 raise ConsistencyError("distinct verdict needs k0 = max obstruction < 1")
         else:
             raise ConsistencyError(f"unknown status {self.status!r}")
@@ -350,16 +397,21 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
     obstructions = [
         Obstruction(KIND_BASELINE, BASELINE, "always present; keeps the set non-empty")
     ]
+    # k0 as an int pair, raised by cross-multiplication
+    top, bottom = BASELINE.numerator, BASELINE.denominator
     betas1 = _groups(((u,), d.beta) for u, d in enumerate(data1))
     betas2 = _groups(((v,), d.beta) for v, d in enumerate(data2))
     for first, n1 in betas1.values():
         for second, n2 in betas2.values():
-            value = branch_obstruction(data1[first[0]], data2[second[0]])
-            if value < 1:
+            ratio = _branch_ratio(data1[first[0]], data2[second[0]])
+            if ratio is not None:
+                num, den = ratio
+                if num * bottom > top * den:
+                    top, bottom = num, den
                 obstructions.append(
                     Obstruction(
                         KIND_CHAR_EXPONENTS,
-                        value,
+                        Fraction(num, den),
                         f"branch {first[0]} of the first germ vs branch {second[0]} "
                         "of the second",
                         first,
@@ -372,13 +424,15 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
     contacts2 = _groups((p, matrix2[p[0]][p[1]]) for p in pairs)
     for cont1, (first, n1) in contacts1.items():
         for cont2, (second, n2) in contacts2.items():
-            if cont1 != cont2:
-                # contact_obstruction(cont1 / den, cont2 / den)
-                value = Fraction(min(cont1, cont2), max(cont1, cont2))
+            ratio = _contact_ratio(cont1, cont2)
+            if ratio is not None:
+                num, den = ratio
+                if num * bottom > top * den:
+                    top, bottom = num, den
                 obstructions.append(
                     Obstruction(
                         KIND_CONTACT,
-                        value,
+                        Fraction(num, den),
                         f"contact of branches ({first[0]},{first[1]}) in the first "
                         f"germ vs ({second[0]},{second[1]}) in the second",
                         first,
@@ -386,5 +440,6 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
                         n1 * n2,
                     )
                 )
-    k0 = max(o.value for o in obstructions)
-    return HolderVerdict(STATUS_DISTINCT, k0=k0, obstructions=tuple(obstructions))
+    return HolderVerdict(
+        STATUS_DISTINCT, k0=Fraction(top, bottom), obstructions=tuple(obstructions)
+    )

@@ -65,12 +65,17 @@ class ArcSample:
         return len(self.points)
 
 
-def _validate_t_grid(grid: np.ndarray):
+def _validate_grid(grid: np.ndarray):
     if grid.size == 0:
         raise ValueError("empty grid")
-    # written so that NaN fails: every comparison with it is False
-    if not ((grid > 0).all() and (np.diff(grid) < 0).all()):
+    # written so that NaN fails: every comparison with it is False; and
+    # with comparisons only, infinite radii raise no numpy warning
+    if not ((grid > 0).all() and (grid[1:] < grid[:-1]).all()):
         raise ValueError("grid must be strictly decreasing and positive")
+
+
+def _validate_t_grid(grid: np.ndarray):
+    _validate_grid(grid)
     if grid[0] > 0.5 * (1 + 1e-12):
         raise ValueError(
             f"grid starts at {grid[0]:.4g} > 0.5; germ sampling is only meaningful "
@@ -135,8 +140,12 @@ def _fit_loglog(radii: np.ndarray, gaps: np.ndarray) -> ContactEstimate:
 
 
 def estimate_contact(a: ArcSample, b: ArcSample, grid) -> ContactEstimate:
-    """Estimate the contact of two sampled arcs over the radius grid they share."""
+    """Estimate the contact of two sampled arcs over the radius grid they share.
+
+    ``grid`` must be strictly decreasing and positive, one radius per point.
+    """
     grid = np.asarray(grid, dtype=float)
+    _validate_grid(grid)
     if grid.size != len(a):
         raise ValueError(f"grid of {grid.size} radii for samples of {len(a)} points")
     return _fit_loglog(grid, gap_profile(a, b))
@@ -166,6 +175,8 @@ def branch_gap_profile(
     if angles < 1:
         raise ValueError(f"angles must be at least 1, got {angles}")
     radii = np.asarray(radii, dtype=float)
+    # the radii first: a root of a negative radius would warn before raising
+    _validate_grid(radii)
     for b in (b1, b2):
         _validate_t_grid(radii ** (1.0 / b.n))
     n = math.lcm(b1.n, b2.n)

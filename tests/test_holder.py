@@ -1,4 +1,6 @@
 import itertools
+import math
+import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,9 +22,14 @@ from curvegerm import (
     contact_report,
     germ,
     lipschitz_normal_form,
+    load_germ,
     pair_obstruction,
 )
+from curvegerm.contact import _contacts
+from curvegerm.holder import FORMAL_SMOOTH_PAIR, _contact_tree, _first_matching, _groups
 from curvegerm.puiseux import ConsistencyError
+
+DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
 def data_of(*spec, n):
@@ -278,6 +285,152 @@ def test_verdict_consistency_is_enforced():
         Obstruction("contact", Fraction(1, 2), "x", (0, 1), (0, 1), 0)
     with pytest.raises(ConsistencyError, match="unknown status"):
         HolderVerdict("undecided")
+
+
+# The obstruction assembly of classify before its scan ran on ints: every
+# value a Fraction from the start, ``min`` and ``max`` over Fractions, k0
+# their maximum.  Kept here as an oracle; the contact trees, which decide
+# the status, come from holder unchanged.
+
+
+def fraction_pair_obstruction(pairs1, j, pairs2, i):
+    a = pairs1[j - 1][0] * math.prod(q for _, q in pairs2[:i])
+    b = pairs2[i - 1][0] * math.prod(n for _, n in pairs1[:j])
+    return min(Fraction(a + b, 2 * b), Fraction(a + b, 2 * a))
+
+
+def fraction_branch_obstruction(c1, c2):
+    if c1.beta == c2.beta:
+        return Fraction(1)
+    p1 = c1.pairs or FORMAL_SMOOTH_PAIR
+    p2 = c2.pairs or FORMAL_SMOOTH_PAIR
+    g1, g2 = len(p1), len(p2)
+    if g1 == g2:
+        values = [fraction_pair_obstruction(p1, i, p2, i) for i in range(1, g1 + 1)]
+    elif g1 > g2:
+        values = [fraction_pair_obstruction(p1, j, p2, g2) for j in range(g2, g1 + 1)]
+    else:
+        values = [fraction_pair_obstruction(p1, g1, p2, i) for i in range(g1, g2 + 1)]
+    return max(v for v in values if v != 1)
+
+
+def fraction_classify(germ1, germ2):
+    r1, r2 = len(germ1.branches), len(germ2.branches)
+    if r1 != r2:
+        baseline = Obstruction(
+            "baseline",
+            BASELINE,
+            f"branch counts differ ({r1} vs {r2}); no homeomorphism matches them",
+        )
+        return HolderVerdict(STATUS_DISTINCT, k0=BASELINE, obstructions=(baseline,))
+    data1 = [characteristic_data(b) for b in germ1.branches]
+    data2 = [characteristic_data(b) for b in germ2.branches]
+    den = math.lcm(*(b.n for b in germ1.branches), *(b.n for b in germ2.branches))
+    matrix1, matrix2 = _contacts(germ1, den), _contacts(germ2, den)
+    codes = {}
+    tree1 = _contact_tree(matrix1, [d.beta for d in data1], codes)
+    tree2 = _contact_tree(matrix2, [d.beta for d in data2], codes)
+    if tree1[0][0] == tree2[0][0]:
+        return HolderVerdict(STATUS_EQUIVALENT, matching=_first_matching(tree1, tree2))
+    obstructions = [Obstruction("baseline", BASELINE, "always present; keeps the set non-empty")]
+    betas1 = _groups(((u,), d.beta) for u, d in enumerate(data1))
+    betas2 = _groups(((v,), d.beta) for v, d in enumerate(data2))
+    for first, n1 in betas1.values():
+        for second, n2 in betas2.values():
+            value = fraction_branch_obstruction(data1[first[0]], data2[second[0]])
+            if value < 1:
+                witness = f"branch {first[0]} of the first germ vs branch {second[0]} of the second"
+                obstructions.append(
+                    Obstruction("char_exponents", value, witness, first, second, n1 * n2)
+                )
+    pairs = list(itertools.combinations(range(r1), 2))
+    contacts1 = _groups((p, matrix1[p[0]][p[1]]) for p in pairs)
+    contacts2 = _groups((p, matrix2[p[0]][p[1]]) for p in pairs)
+    for cont1, (first, n1) in contacts1.items():
+        for cont2, (second, n2) in contacts2.items():
+            value = min(Fraction(cont1, cont2), Fraction(cont2, cont1))
+            if value < 1:
+                witness = (
+                    f"contact of branches ({first[0]},{first[1]}) in the first germ vs "
+                    f"({second[0]},{second[1]}) in the second"
+                )
+                obstructions.append(
+                    Obstruction("contact", value, witness, first, second, n1 * n2)
+                )
+    k0 = max(o.value for o in obstructions)
+    return HolderVerdict(STATUS_DISTINCT, k0=k0, obstructions=tuple(obstructions))
+
+
+def test_classify_matches_the_fraction_scan(generated_germs):
+    demos = [load_germ(path) for path in sorted(DEMO_DATA.glob("*.json"))]
+    germs = [g for _, g, _ in generated_germs] + demos
+    kinds = Counter()
+    for g1, g2 in itertools.product(germs, germs):
+        verdict = classify(g1, g2)
+        # dataclass equality: status, matching, k0 and the obstruction
+        # tuple in order, each with kind, value, witness, first, second, count
+        assert verdict == fraction_classify(g1, g2)
+        kinds.update(o.kind for o in verdict.obstructions)
+    assert kinds["char_exponents"] > 0 and kinds["contact"] > 0
+
+
+def test_public_obstructions_match_the_fraction_scan(generated_germs):
+    data = sorted(
+        {characteristic_data(b) for _, g, _ in generated_germs for b in g.branches},
+        key=lambda d: d.beta,
+    )
+    for c1, c2 in itertools.product(data, data):
+        assert branch_obstruction(c1, c2) == fraction_branch_obstruction(c1, c2)
+        p1, p2 = c1.pairs or FORMAL_SMOOTH_PAIR, c2.pairs or FORMAL_SMOOTH_PAIR
+        for j, i in itertools.product(range(1, len(p1) + 1), range(1, len(p2) + 1)):
+            assert pair_obstruction(p1, j, p2, i) == fraction_pair_obstruction(p1, j, p2, i)
+    contacts = [Fraction(p, q) for q in (1, 2, 3, 6) for p in range(q, 4 * q + 1)]
+    for cont1, cont2 in itertools.product(contacts, contacts):
+        expected = min(cont1 / cont2, cont2 / cont1)
+        assert contact_obstruction(cont1, cont2) == expected
+    assert contact_obstruction(2, 3) == Fraction(2, 3)
+
+
+def test_verdict_checks_reject_inexact_values():
+    with pytest.raises(ConsistencyError, match="not an exact Fraction"):
+        Obstruction("contact", 0.5, "x", (0, 1), (0, 1), 1)
+    baseline = Obstruction("baseline", BASELINE, "x")
+    with pytest.raises(ConsistencyError, match="not an exact Fraction"):
+        HolderVerdict(STATUS_DISTINCT, k0=0.5, obstructions=(baseline,))
+    with pytest.raises(ConsistencyError, match="not an exact Fraction"):
+        HolderVerdict(STATUS_DISTINCT, k0=None, obstructions=(baseline,))
+
+
+def test_equivalent_verdict_needs_a_bijection():
+    for matching in [(0, 0, 5), (1, 2), (0, 0), (-1, 0)]:
+        with pytest.raises(ConsistencyError, match="not a bijection"):
+            HolderVerdict(STATUS_EQUIVALENT, matching=matching)
+    for matching in [(), (0,), (2, 0, 1)]:
+        assert HolderVerdict(STATUS_EQUIVALENT, matching=matching).matching == matching
+
+
+@pytest.mark.parametrize(
+    "k0, values",
+    [
+        (Fraction(5, 6), (BASELINE, Fraction(2, 3), Fraction(3, 4))),  # above all, not among
+        (Fraction(2, 3), (BASELINE, Fraction(2, 3), Fraction(3, 4))),  # among, below the top
+        (Fraction(3, 5), (BASELINE, Fraction(2, 3), Fraction(3, 4))),  # neither
+        (Fraction(1), (BASELINE, Fraction(2, 3), Fraction(1))),  # the maximum, but 1
+        (Fraction(3, 4), ()),  # no obstruction at all
+    ],
+)
+def test_distinct_verdict_rejects_a_wrong_k0(k0, values):
+    obstructions = tuple(Obstruction("contact", v, "x", (0, 1), (0, 1)) for v in values)
+    with pytest.raises(ConsistencyError, match="k0 = max obstruction < 1"):
+        HolderVerdict(STATUS_DISTINCT, k0=k0, obstructions=obstructions)
+
+
+@pytest.mark.parametrize(
+    "value", [Fraction(0), Fraction(-1, 2), Fraction(3, 2), Fraction(100, 99)]
+)
+def test_obstruction_value_must_lie_in_the_unit_interval(value):
+    with pytest.raises(ConsistencyError, match=r"outside \(0, 1\]"):
+        Obstruction("contact", value, "x", (0, 1), (0, 1))
 
 
 def test_verdict_serialization():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -231,9 +232,12 @@ def test_closed_form_fit_matches_polyfit():
 
 def test_fit_rejects_a_grid_of_equal_radii():
     # the gaps differ, but a line through ten points at one radius has no slope
+    with pytest.raises(ValueError, match="degenerate regression: all radii are equal"):
+        _fit_loglog(np.full(10, 0.01), np.linspace(1, 2, 10))
+    # estimate_contact turns such a grid away before it fits
     a = ArcSample(np.zeros((10, 2)))
     b = ArcSample(np.column_stack([np.zeros(10), np.linspace(1, 2, 10)]))
-    with pytest.raises(ValueError, match="degenerate regression: all radii are equal"):
+    with pytest.raises(ValueError, match="grid must be strictly decreasing and positive"):
         estimate_contact(a, b, np.full(10, 0.01))
 
 
@@ -250,6 +254,43 @@ def test_non_finite_radii_are_rejected(bad):
         estimate_branch_contact(axis(), parabola, radii)
     with pytest.raises(ValueError, match=message):
         sample_branch_arc(parabola, 0, 0.0, radii)
+
+
+def replaced(grid, k, value):
+    grid = grid.copy()
+    grid[k] = value
+    return grid
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [lambda g: replaced(g, 4, -g[4]), lambda g: replaced(g, 4, math.nan), lambda g: g[::-1]],
+    ids=["negative", "nan", "reversed"],
+)
+def test_estimate_contact_checks_its_grid(bad):
+    # the axis against the parabola: a reversed grid used to fit slope -2
+    # with r^2 = 1, a negative or NaN radius slope and r^2 NaN
+    grid = geometric_grid(0.1, 1e-3, 10)
+    a = sample_branch_arc(axis(), 0, 0.0, grid)
+    b = sample_branch_arc(branch(1, [(2, 1)], truncation=8), 0, 0.0, grid)
+    message = "grid must be strictly decreasing and positive"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            estimate_contact(a, b, bad(grid))
+        with pytest.raises(ValueError, match=message):
+            check_contact_distortion(a, b, 1.5, bad(grid))
+
+
+def test_branch_gap_profile_checks_the_radii_before_taking_roots():
+    # with n = 2, sqrt of a negative radius used to warn before the error
+    cusp = branch(2, [(3, 1)], truncation=8)
+    other = branch(2, [(5, 1)], truncation=8)
+    radii = -geometric_grid(0.1, 1e-3, 10) ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid must be strictly decreasing and positive"):
+            branch_gap_profile(cusp, other, radii)
 
 
 @pytest.mark.parametrize("bounds", [(math.inf, 1e-4), (math.nan, 1e-4), (0.1, math.nan)])
