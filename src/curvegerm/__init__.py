@@ -31,6 +31,7 @@ from curvegerm.holder import (
     branch_obstruction,
     classify,
     contact_obstruction,
+    holder_key,
     pair_obstruction,
 )
 from curvegerm.invariants import (
@@ -106,6 +107,7 @@ __all__ = [
     "germ",
     "germ_from_dict",
     "germ_to_dict",
+    "holder_key",
     "intersection_multiplicity",
     "lipschitz_normal_form",
     "load_germ",

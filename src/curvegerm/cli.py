@@ -5,6 +5,26 @@ Commands read germ files in the JSON format documented in
 --json, a machine-readable report in which exact rationals are strings
 like "4/5" and decimals appear only in explicitly numeric fields.
 
+``classes FILE...`` partitions germ files into Holder classes: it reads
+each germ's key once (:func:`curvegerm.holder.holder_key`) and groups
+equal keys in one dict, with no pairwise ``classify``.  Classes, and the
+files in each, come in order of first appearance on the command line::
+
+    $ curvegerm classes demos/data/*.json
+    classes:
+      - [demos/data/axis.json, demos/data/parabola.json]
+      - [demos/data/axis_and_cubic.json]
+      ...
+    $ curvegerm classes demos/data/axis.json demos/data/parabola.json --json
+    {
+      "classes": [
+        [
+          "demos/data/axis.json",
+          "demos/data/parabola.json"
+        ]
+      ]
+    }
+
 Exit codes: 0 success, 2 parse or validation error, 3 truncation
 insufficient, 4 unsupported request, 5 internal error (a RuntimeError
 from a broken invariant of the library, such as a non-ultrametric
@@ -23,7 +43,7 @@ import sys
 import numpy as np
 
 from curvegerm.contact import contact, contact_report
-from curvegerm.holder import classify
+from curvegerm.holder import classify, holder_key
 from curvegerm.invariants import characteristic_data
 from curvegerm.metric import (
     DEFAULT_ANGLES,
@@ -98,6 +118,13 @@ def _cmd_contact(args) -> dict:
 
 def _cmd_classify(args) -> dict:
     return classify(load_germ(args.file_a), load_germ(args.file_b)).to_dict()
+
+
+def _cmd_classes(args) -> dict:
+    classes: dict = {}
+    for path in args.files:
+        classes.setdefault(holder_key(load_germ(path)), []).append(path)
+    return {"classes": list(classes.values())}
 
 
 def _write_csv(path, radii, gaps, header=("r", "gap")):
@@ -259,6 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.set_defaults(handler=_cmd_classify)
+
+    p = sub.add_parser(
+        "classes", parents=[common], help="partition germ files into Holder classes"
+    )
+    p.add_argument("files", nargs="+", metavar="FILE")
+    p.set_defaults(handler=_cmd_classes)
 
     p = sub.add_parser("estimate", parents=[common, numeric], help="numeric contact estimate")
     p.add_argument("file_a")

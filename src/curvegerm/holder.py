@@ -17,12 +17,17 @@ contact matrix is a rooted tree: its leaves are the branches, labelled
 by their characteristic exponents, and an internal node labelled c
 splits its branches into the classes of "contact > c".  A bijection
 keeps every beta and every contact exactly when it is an isomorphism of
-these labelled trees, which canonical codes in the manner of Aho,
-Hopcroft and Ullman decide.  By Zariski and Burau, characteristic data
-plus pairwise contacts is the complete topological invariant of a germ,
-so comparing trees decides the same question as a search over all r!
-bijections, and the bijection returned is the one such a search finds
-first in lexicographic order.
+these labelled trees.  By Zariski and Burau, characteristic data plus
+pairwise contacts is the complete topological invariant of a germ, so
+the tree is a property of each germ alone.  Each germ keeps, built once
+on first use, a summary that no partner changes: its branches'
+characteristic data, the groups of its betas and of its contacts, and
+its contact tree, built in O(r**2) with a canonical key, a nested tuple
+in the manner of Aho, Hopcroft and Ullman (see :func:`holder_key`).  Two
+germs are equivalent exactly when their keys are equal; the bijection
+returned is then the one a search over all r! bijections finds first in
+lexicographic order, read off the two trees once their nodes are
+interned as shared ints.
 
 An obstruction's value depends only on its source values (the two betas,
 or the two contacts), so the classifier lists one obstruction per
@@ -34,7 +39,9 @@ at most r - 1 distinct contacts, so the list has at most
 All thresholds are exact rationals; the fourth root is applied only at
 presentation time.  The scan compares values as unreduced int pairs
 (numerator, denominator) from ``_pair_ratio``, ``_branch_ratio`` and
-``_contact_ratio``, and k0 by cross-multiplication.  A ``Fraction`` is
+``_contact_ratio``, and k0 by cross-multiplication; contacts, kept as
+int numerators over each germ's own lcm of multiplicities, are compared
+across germs by cross-multiplication too.  A ``Fraction`` is
 made only for a value handed out: each emitted obstruction, k0, and the
 result of a public obstruction function, which wraps the same helper.
 The checks of ``Obstruction`` and ``HolderVerdict`` compare the ints of
@@ -209,7 +216,11 @@ class HolderVerdict:
                 raise ConsistencyError(
                     f"matching {self.matching} is not a bijection of the branches"
                 )
+            if self.k0 is not None or self.obstructions:
+                raise ConsistencyError("equivalent verdict carries no k0 and no obstructions")
         elif self.status == STATUS_DISTINCT:
+            if self.matching is not None:
+                raise ConsistencyError("distinct verdict carries no branch bijection")
             if not isinstance(self.k0, Fraction):
                 raise ConsistencyError(f"k0 {self.k0!r} is not an exact Fraction")
             # k0 = p/q is one of the values, none exceeds it, and p < q;
@@ -254,69 +265,99 @@ class HolderVerdict:
         }
 
 
-def _contact_tree(c, betas, codes):
-    """Canonical code of every node of a germ's contact tree.
+def _contact_tree(c, den: int, betas):
+    """A germ's contact tree and its canonical key, from O(r**2) entries.
 
     ``c`` is the contact matrix, off the diagonal, as int numerators over
-    one denominator.  Returns ``(code, paths)``: ``code[node]`` is the
-    node's canonical code and ``paths[i]`` lists the nodes from the root
-    down to the leaf of branch i.  ``codes`` interns (label, sorted child
-    codes) keys as small integers; share it between two germs whose
-    matrices have the same denominator to compare their trees.  Raises
-    RuntimeError when the contacts are not an ultrametric, which exact
-    contacts always are.
-    """
-    code: list[int] = []
-    paths: list[list[int]] = [[] for _ in betas]
+    ``den``.  Returns ``(key, nodes, paths)``.  ``nodes`` lists the nodes
+    in pre-order as ``(label, children)``: a leaf is labelled by its
+    branch's beta, an inner node by its contact level as a reduced
+    Fraction, and ``children`` holds node indices.  ``paths[i]`` lists
+    the nodes from the root down to the leaf of branch i.  ``key`` is the
+    root's canonical form: a leaf is its beta, an inner node is (level,
+    sorted betas of its leaf children, sorted keys of its inner children).
 
-    def build(members):
-        node = len(code)
-        code.append(-1)
+    A cluster's level is the least contact from one pivot, which in an
+    ultrametric is the least contact in the cluster, and its classes are
+    those of "contact > level", each tested against one member.  Only
+    pairs in different classes are checked, each against the level, so
+    every pair is checked exactly once, at the node where it splits, and
+    the checks pass exactly when the matrix is the ultrametric of the
+    tree.  Raises RuntimeError on a matrix that is not an ultrametric,
+    which exact contacts never are.
+    """
+    nodes: list[tuple] = []
+    paths: list[list[int]] = [[] for _ in betas]
+    todo = [(list(range(len(betas))), None)]
+    while todo:
+        members, parent = todo.pop()
+        node = len(nodes)
+        if parent is not None:
+            nodes[parent][1].append(node)
         for i in members:
             paths[i].append(node)
         if len(members) == 1:
-            key = ("leaf", betas[members[0]])
+            nodes.append((betas[members[0]], []))
+            continue
+        pivot = c[members[0]]
+        level = min(pivot[j] for j in members[1:])
+        classes: list[list[int]] = []
+        for i in members:
+            for cls in classes:
+                if c[cls[0]][i] > level:
+                    cls.append(i)
+                    break
+            else:
+                classes.append([i])
+        for k, cls in enumerate(classes):
+            for other in classes[k + 1:]:
+                for i in cls:
+                    row = c[i]
+                    for j in other:
+                        if row[j] != level:
+                            raise RuntimeError(
+                                "contacts are not an ultrametric at branches "
+                                f"({min(i, j)}, {max(i, j)}): internal bug"
+                            )
+        nodes.append((Fraction(level, den), []))
+        todo.extend((cls, node) for cls in reversed(classes))
+    keys: list = [None] * len(nodes)
+    for node in reversed(range(len(nodes))):
+        label, children = nodes[node]
+        if children:
+            leaves = sorted(keys[k] for k in children if not nodes[k][1])
+            inner = sorted(keys[k] for k in children if nodes[k][1])
+            keys[node] = (label, tuple(leaves), tuple(inner))
         else:
-            pairs = list(itertools.combinations(members, 2))
-            level = min(c[i][j] for i, j in pairs)
-            classes: list[list[int]] = []
-            where = {}
-            for i in members:
-                for k, cls in enumerate(classes):
-                    if c[cls[0]][i] > level:
-                        break
-                else:
-                    k = len(classes)
-                    classes.append([])
-                classes[k].append(i)
-                where[i] = k
-            for i, j in pairs:
-                if (where[i] == where[j]) != (c[i][j] > level):
-                    raise RuntimeError(
-                        f"contacts are not an ultrametric at branches ({i}, {j}): "
-                        "internal bug"
-                    )
-            key = (level, tuple(sorted(build(cls) for cls in classes)))
-        code[node] = codes.setdefault(key, len(codes))
-        return code[node]
+            keys[node] = label
+    return keys[0], nodes, paths
 
-    build(list(range(len(betas))))
-    # build reaches itself through its closure cell: emptying the cell
-    # frees it, and the lists it holds, without waiting for the cyclic
-    # garbage collector
-    del build
-    return code, paths
+
+def _codes(nodes, codes: dict) -> list[int]:
+    """Intern every node of a contact tree as a small int, children
+    before parents, in ``codes``, a dict shared by the trees compared.
+
+    Equal codes mean equal subtrees, and each node costs one lookup of
+    its label and its children's codes, so comparing two nodes is O(1).
+    """
+    code = [0] * len(nodes)
+    for node in reversed(range(len(nodes))):
+        label, children = nodes[node]
+        key = (label, tuple(sorted(code[k] for k in children)))
+        code[node] = codes.setdefault(key, len(codes))
+    return code
 
 
 def _first_matching(tree1, tree2) -> tuple[int, ...]:
     """Lexicographically first isomorphism of two contact trees with equal
     root codes, read off leaf by leaf.
 
-    Branch i goes to the smallest unused j whose root path runs through
-    nodes of the same codes as i's, each node pair already matched to
-    each other or both still free.  Such a partial matching always
-    extends to a full one, since matched nodes have equal codes and so
-    equal multisets of child codes.
+    Each tree is ``(code, paths)`` with codes from one :func:`_codes`
+    table.  Branch i goes to the smallest unused j whose root path runs
+    through nodes of the same codes as i's, each node pair already
+    matched to each other or both still free.  Such a partial matching
+    always extends to a full one, since matched nodes have equal codes
+    and so equal multisets of child codes.
     """
     (code1, paths1), (code2, paths2) = tree1, tree2
     match1: dict[int, int] = {}
@@ -354,6 +395,68 @@ def _groups(items):
     return groups
 
 
+@dataclass(frozen=True, eq=False)
+class _Summary:
+    """What the classifier reads of one germ, whatever it is compared with.
+
+    ``data`` holds each branch's characteristic data and ``den`` the lcm
+    of the multiplicities.  ``betas`` and ``contacts`` are the
+    :func:`_groups` of the betas by branch and of the contacts, as int
+    numerators over ``den``, by branch pair.  ``key``, ``nodes`` and
+    ``paths`` are the contact tree from :func:`_contact_tree`.
+    """
+
+    data: tuple[CharacteristicData, ...]
+    den: int
+    betas: dict
+    contacts: dict
+    key: object
+    nodes: list
+    paths: list
+
+
+def _summary(g: CurveGerm) -> _Summary:
+    """The germ's summary, built on first use and kept in ``g._holder``."""
+    summary = g._holder
+    if summary is None:
+        data = tuple(characteristic_data(b) for b in g.branches)
+        den = math.lcm(*(b.n for b in g.branches))
+        matrix = _contacts(g, den)
+        betas = [d.beta for d in data]
+        pairs = itertools.combinations(range(len(betas)), 2)
+        summary = _Summary(
+            data,
+            den,
+            _groups(((u,), beta) for u, beta in enumerate(betas)),
+            _groups((p, matrix[p[0]][p[1]]) for p in pairs),
+            *_contact_tree(matrix, den, betas),
+        )
+        object.__setattr__(g, "_holder", summary)
+    return summary
+
+
+def holder_key(g: CurveGerm):
+    """The germ's Holder class as a canonical nested tuple, built once.
+
+    The key is the germ's contact tree: a leaf is its branch's beta, and
+    an inner node is (its contact level as a reduced Fraction, the sorted
+    betas of its leaf children, the sorted keys of its inner children).
+    Two germs have equal keys exactly when some bijection of branches
+    keeps every characteristic exponent and every pairwise contact, that
+    is when :func:`classify` finds them equivalent; by the paper's
+    theorem that is also when they are bi-alpha-Holder equivalent for
+    every alpha < 1.  Keys are hashable, so germs group by class in one
+    dict.
+
+    >>> from curvegerm import branch, germ
+    >>> holder_key(germ([branch(2, [(3, 1)])]))
+    (2, 3)
+    >>> holder_key(germ([branch(2, [(5, 1)]), branch(2, [(3, 1)])]))
+    (Fraction(3, 2), ((2, 3), (2, 5)), ())
+    """
+    return _summary(g).key
+
+
 def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
     """Decide whether the two germs are Holder-distinguishable.
 
@@ -362,16 +465,16 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
     Otherwise the germs are equivalent when some bijection of branches
     preserves the characteristic data branchwise and every pairwise
     contact, which by Zariski and Burau is topological equivalence.
-    Such a bijection exists iff the two contact trees have equal
-    canonical codes; the one returned is the lexicographically first.
+    Such a bijection exists iff the two germs' keys (:func:`holder_key`)
+    are equal; the one returned is the lexicographically first.
     Failing that, the obstruction set is assembled from the baseline,
     one branch obstruction below 1 per distinct pair (beta in the first
     germ, beta in the second), and one contact obstruction below 1 per
     distinct pair (contact in the first germ, contact in the second).
     Each names the lexicographically first branches, or branch pairs,
-    that realise it and counts all that do; one pass over each germ's
-    branches and branch pairs collects them.  The list is in the order
-    of those first realisations.
+    that realise it and counts all that do; each germ's summary groups
+    its betas and contacts once.  The list is in the order of those
+    first realisations.
     """
     r1, r2 = len(germ1.branches), len(germ2.branches)
     if r1 != r2:
@@ -382,16 +485,11 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
         )
         return HolderVerdict(STATUS_DISTINCT, k0=BASELINE, obstructions=(baseline,))
 
-    data1 = [characteristic_data(b) for b in germ1.branches]
-    data2 = [characteristic_data(b) for b in germ2.branches]
-    # contacts as int numerators over one denominator for both germs
-    den = math.lcm(*(b.n for b in germ1.branches), *(b.n for b in germ2.branches))
-    matrix1, matrix2 = _contacts(germ1, den), _contacts(germ2, den)
-
-    codes: dict = {}
-    tree1 = _contact_tree(matrix1, [d.beta for d in data1], codes)
-    tree2 = _contact_tree(matrix2, [d.beta for d in data2], codes)
-    if tree1[0][0] == tree2[0][0]:
+    s1, s2 = _summary(germ1), _summary(germ2)
+    if s1.key == s2.key:
+        codes: dict = {}
+        tree1 = (_codes(s1.nodes, codes), s1.paths)
+        tree2 = (_codes(s2.nodes, codes), s2.paths)
         return HolderVerdict(STATUS_EQUIVALENT, matching=_first_matching(tree1, tree2))
 
     obstructions = [
@@ -399,11 +497,9 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
     ]
     # k0 as an int pair, raised by cross-multiplication
     top, bottom = BASELINE.numerator, BASELINE.denominator
-    betas1 = _groups(((u,), d.beta) for u, d in enumerate(data1))
-    betas2 = _groups(((v,), d.beta) for v, d in enumerate(data2))
-    for first, n1 in betas1.values():
-        for second, n2 in betas2.values():
-            ratio = _branch_ratio(data1[first[0]], data2[second[0]])
+    for first, n1 in s1.betas.values():
+        for second, n2 in s2.betas.values():
+            ratio = _branch_ratio(s1.data[first[0]], s2.data[second[0]])
             if ratio is not None:
                 num, den = ratio
                 if num * bottom > top * den:
@@ -419,11 +515,11 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
                         n1 * n2,
                     )
                 )
-    pairs = list(itertools.combinations(range(r1), 2))
-    contacts1 = _groups((p, matrix1[p[0]][p[1]]) for p in pairs)
-    contacts2 = _groups((p, matrix2[p[0]][p[1]]) for p in pairs)
-    for cont1, (first, n1) in contacts1.items():
-        for cont2, (second, n2) in contacts2.items():
+    # each germ's contacts over its own denominator, put over den1 * den2
+    contacts2 = [(cont2 * s1.den, group) for cont2, group in s2.contacts.items()]
+    for cont1, (first, n1) in s1.contacts.items():
+        cont1 *= s2.den
+        for cont2, (second, n2) in contacts2:
             ratio = _contact_ratio(cont1, cont2)
             if ratio is not None:
                 num, den = ratio

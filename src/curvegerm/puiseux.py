@@ -284,12 +284,15 @@ class CurveGerm:
     tuple of int s-exponents at which branches[i] and each conjugate k of
     branches[j] first differ, so ``difference_order(branches[i],
     branches[j], k) == orders[k] / n``.  The contact report and the
-    classifier read it.  It is derived from the branches, so it stays out
-    of ``__init__``, ``repr``, ``==`` and ``hash``.
+    classifier read it.  ``_holder`` holds the classifier's summary of the
+    germ, built by :mod:`curvegerm.holder` on first use.  Both are derived
+    from the branches, so they stay out of ``__init__``, ``repr``, ``==``
+    and ``hash``.
     """
 
     branches: tuple[PuiseuxBranch, ...]
     _sweeps: dict = field(init=False, repr=False, compare=False)
+    _holder: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(self.branches))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 from fractions import Fraction
@@ -460,3 +461,52 @@ def test_tolerance_is_only_for_the_numeric_commands(argv, capsys):
         cli.main(argv + ["--tolerance", "5"])
     assert info.value.code == 2
     assert "unrecognized arguments: --tolerance 5" in capsys.readouterr().err
+
+
+def test_classes_agree_with_the_pairwise_verdicts(capsys):
+    files = [str(p) for p in sorted(DEMO_DATA.glob("*.json"))]
+    code, payload = run_json(capsys, ["classes", *files])
+    assert code == 0
+    # every file in exactly one class, classes in order of first appearance
+    assert sorted(path for members in payload["classes"] for path in members) == files
+    firsts = [members[0] for members in payload["classes"]]
+    assert firsts == sorted(firsts, key=files.index)
+    where = {path: k for k, members in enumerate(payload["classes"]) for path in members}
+    for a, b in itertools.product(files, repeat=2):
+        code, verdict = run_json(capsys, ["classify", a, b])
+        assert code == 0
+        assert (where[a] == where[b]) == (verdict["status"] == "equivalent_invariants")
+    assert len(payload["classes"]) < len(files)
+
+
+def test_classes_text_output(tmp_path, capsys):
+    a = write(tmp_path, "a.json", AXIS_AND_PARABOLA)
+    b = write(tmp_path, "b.json", CUSP25)
+    c = write(tmp_path, "c.json", {"branches": AXIS_AND_PARABOLA["branches"][::-1]})
+    assert cli.main(["classes", a, b, c]) == 0
+    assert capsys.readouterr().out == f"classes:\n  - [{a}, {c}]\n  - [{b}]\n"
+
+
+def test_classes_exit_codes(tmp_path, capsys, monkeypatch):
+    good = write(tmp_path, "good.json", CUSP25)
+    stuck = write(tmp_path, "stuck.json", {
+        "branches": [
+            {"n": 4, "truncation": 6, "terms": [{"exp": 6, "coeff": {"rational": "1"}}]}
+        ]
+    })
+    code, payload = run_json(capsys, ["classes", good, str(tmp_path / "missing.json")])
+    assert (code, payload["error_kind"]) == (2, "validation")
+    code, payload = run_json(capsys, ["classes", good, stuck])
+    assert (code, payload["error_kind"]) == (3, "truncation")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["classes"])
+    assert info.value.code == 2
+
+    from curvegerm import holder
+
+    def broken(*args):
+        raise RuntimeError("contacts are not an ultrametric at branches (0, 1): internal bug")
+
+    monkeypatch.setattr(holder, "_contact_tree", broken)
+    code, payload = run_json(capsys, ["classes", write(tmp_path, "two.json", AXIS_AND_PARABOLA)])
+    assert (code, payload["error_kind"]) == (5, "internal")

@@ -25,8 +25,7 @@ from curvegerm import (
     load_germ,
     pair_obstruction,
 )
-from curvegerm.contact import _contacts
-from curvegerm.holder import FORMAL_SMOOTH_PAIR, _contact_tree, _first_matching, _groups
+from curvegerm.holder import FORMAL_SMOOTH_PAIR, _contact_tree
 from curvegerm.puiseux import ConsistencyError
 
 DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -262,12 +261,81 @@ def test_classify_lists_one_obstruction_per_distinct_value_pair():
 
 
 def test_contact_tree_rejects_a_non_ultrametric_matrix():
-    from curvegerm.holder import _contact_tree
+    breaks = [
+        # at the root: the pivot 0 puts 0 and 1 above level 1, 2 below
+        ((None, 2, 1), (2, None, 2), (1, 2, None)),
+        # at a deeper node: the root splits {0, 1, 2} from 3 at level 1;
+        # inside, the pivot 0 gives level 2 and puts 0 and 1 above it, but
+        # contact(1, 2) is 3
+        ((None, 3, 2, 1), (3, None, 3, 1), (2, 3, None, 1), (1, 1, 1, None)),
+    ]
+    for contact in breaks:
+        with pytest.raises(RuntimeError) as raised:
+            _contact_tree(contact, 1, [(1,)] * len(contact))
+        assert str(raised.value) == (
+            "contacts are not an ultrametric at branches (1, 2): internal bug"
+        )
 
-    two, one = Fraction(2), Fraction(1)
-    contact = ((None, two, one), (two, None, two), (one, two, None))
-    with pytest.raises(RuntimeError, match="ultrametric"):
-        _contact_tree(contact, [(1,)] * 3, {})
+
+class CountingRow(list):
+    """A matrix row that counts its entry reads."""
+
+    reads = 0
+
+    def __getitem__(self, j):
+        CountingRow.reads += 1
+        return super().__getitem__(j)
+
+
+def caterpillar(r):
+    # contact(i, j) = min(i, j) + 1: every node splits one leaf off
+    return [[None if i == j else min(i, j) + 1 for j in range(r)] for i in range(r)]
+
+
+def balanced(r):
+    contact = [[None] * r for _ in range(r)]
+
+    def split(lo, hi, level):
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            for i in range(lo, mid):
+                for j in range(mid, hi):
+                    contact[i][j] = contact[j][i] = level
+            split(lo, mid, level + 1)
+            split(mid, hi, level + 1)
+
+    split(0, r, 1)
+    return contact
+
+
+@pytest.mark.parametrize("make, depth", [(caterpillar, 300), (balanced, 10)])
+def test_contact_tree_reads_at_most_four_r_squared_entries(make, depth):
+    # the build that formed every pair list at every level read about
+    # r**3 / 6 entries of the caterpillar
+    r = 300
+    matrix = make(r)
+    CountingRow.reads = 0
+    key, nodes, paths = _contact_tree([CountingRow(row) for row in matrix], 1, [(1,)] * r)
+    assert CountingRow.reads <= 4 * r * r
+    assert len(nodes) == 2 * r - 1
+    assert max(len(path) for path in paths) == depth
+    for i, j in itertools.combinations(range(0, r, 7), 2):
+        # the deepest common node of two root paths is labelled by their contact
+        common = [a for a, b in zip(paths[i], paths[j]) if a == b]
+        assert nodes[common[-1]][0] == matrix[i][j]
+
+
+def test_key_is_the_canonical_tree():
+    chain = caterpillar(4)
+    key, _, _ = _contact_tree(chain, 2, [(1,), (2, 3), (1,), (2, 5)])
+    inner = (Fraction(3, 2), ((1,), (2, 5)), ())
+    assert key == (Fraction(1, 2), ((1,),), ((Fraction(1), ((2, 3),), (inner,)),))
+    # contacts over another denominator and the branches listed in another
+    # order give the same key
+    order = [3, 1, 0, 2]
+    scaled = [[None if chain[a][b] is None else 3 * chain[a][b] for b in order] for a in order]
+    again, _, _ = _contact_tree(scaled, 6, [(2, 5), (2, 3), (1,), (1,)])
+    assert again == key
 
 
 def test_verdict_consistency_is_enforced():
@@ -289,8 +357,10 @@ def test_verdict_consistency_is_enforced():
 
 # The obstruction assembly of classify before its scan ran on ints: every
 # value a Fraction from the start, ``min`` and ``max`` over Fractions, k0
-# their maximum.  Kept here as an oracle; the contact trees, which decide
-# the status, come from holder unchanged.
+# their maximum.  Kept here as an oracle, with no private helper of
+# holder: the status and sigma come from a lexicographic backtracking
+# search over the public ``characteristic_data`` and ``contact_report``,
+# and the groups of source values from a plain dict.
 
 
 def fraction_pair_obstruction(pairs1, j, pairs2, i):
@@ -314,6 +384,36 @@ def fraction_branch_obstruction(c1, c2):
     return max(v for v in values if v != 1)
 
 
+def first_bijection(betas1, c1, betas2, c2):
+    """The lexicographically first sigma carrying every beta and every
+    contact over, by backtracking; None when there is none."""
+    r = len(betas1)
+    sigma = []
+
+    def extend(i):
+        if i == r:
+            return True
+        for j in range(r):
+            if j not in sigma and betas1[i] == betas2[j] and all(
+                c1[k][i] == c2[u][j] for k, u in enumerate(sigma)
+            ):
+                sigma.append(j)
+                if extend(i + 1):
+                    return True
+                sigma.pop()
+        return False
+
+    return tuple(sigma) if extend(0) else None
+
+
+def first_and_count(items):
+    groups = {}
+    for where, key in items:
+        first, count = groups.get(key, (where, 0))
+        groups[key] = (first, count + 1)
+    return groups
+
+
 def fraction_classify(germ1, germ2):
     r1, r2 = len(germ1.branches), len(germ2.branches)
     if r1 != r2:
@@ -325,16 +425,15 @@ def fraction_classify(germ1, germ2):
         return HolderVerdict(STATUS_DISTINCT, k0=BASELINE, obstructions=(baseline,))
     data1 = [characteristic_data(b) for b in germ1.branches]
     data2 = [characteristic_data(b) for b in germ2.branches]
-    den = math.lcm(*(b.n for b in germ1.branches), *(b.n for b in germ2.branches))
-    matrix1, matrix2 = _contacts(germ1, den), _contacts(germ2, den)
-    codes = {}
-    tree1 = _contact_tree(matrix1, [d.beta for d in data1], codes)
-    tree2 = _contact_tree(matrix2, [d.beta for d in data2], codes)
-    if tree1[0][0] == tree2[0][0]:
-        return HolderVerdict(STATUS_EQUIVALENT, matching=_first_matching(tree1, tree2))
+    matrix1, matrix2 = contact_report(germ1).contact, contact_report(germ2).contact
+    sigma = first_bijection(
+        [d.beta for d in data1], matrix1, [d.beta for d in data2], matrix2
+    )
+    if sigma is not None:
+        return HolderVerdict(STATUS_EQUIVALENT, matching=sigma)
     obstructions = [Obstruction("baseline", BASELINE, "always present; keeps the set non-empty")]
-    betas1 = _groups(((u,), d.beta) for u, d in enumerate(data1))
-    betas2 = _groups(((v,), d.beta) for v, d in enumerate(data2))
+    betas1 = first_and_count(((u,), d.beta) for u, d in enumerate(data1))
+    betas2 = first_and_count(((v,), d.beta) for v, d in enumerate(data2))
     for first, n1 in betas1.values():
         for second, n2 in betas2.values():
             value = fraction_branch_obstruction(data1[first[0]], data2[second[0]])
@@ -344,11 +443,11 @@ def fraction_classify(germ1, germ2):
                     Obstruction("char_exponents", value, witness, first, second, n1 * n2)
                 )
     pairs = list(itertools.combinations(range(r1), 2))
-    contacts1 = _groups((p, matrix1[p[0]][p[1]]) for p in pairs)
-    contacts2 = _groups((p, matrix2[p[0]][p[1]]) for p in pairs)
+    contacts1 = first_and_count((p, matrix1[p[0]][p[1]]) for p in pairs)
+    contacts2 = first_and_count((p, matrix2[p[0]][p[1]]) for p in pairs)
     for cont1, (first, n1) in contacts1.items():
         for cont2, (second, n2) in contacts2.items():
-            value = min(Fraction(cont1, cont2), Fraction(cont2, cont1))
+            value = min(cont1 / cont2, cont2 / cont1)
             if value < 1:
                 witness = (
                     f"contact of branches ({first[0]},{first[1]}) in the first germ vs "
@@ -447,3 +546,17 @@ def test_verdict_serialization():
     baseline, cusps = payload["obstructions"]
     assert set(baseline) == {"kind", "value", "witness"}
     assert (cusps["first"], cusps["second"], cusps["count"]) == ([0], [0], 1)
+
+
+def test_a_verdict_rejects_the_other_status_fields():
+    baseline = Obstruction("baseline", BASELINE, "x")
+    with pytest.raises(ConsistencyError, match="equivalent verdict carries no k0"):
+        HolderVerdict(STATUS_EQUIVALENT, matching=(0,), k0=Fraction(1, 2), obstructions=(baseline,))
+    with pytest.raises(ConsistencyError, match="equivalent verdict carries no k0"):
+        HolderVerdict(STATUS_EQUIVALENT, matching=(0,), k0=BASELINE)
+    with pytest.raises(ConsistencyError, match="equivalent verdict carries no k0"):
+        HolderVerdict(STATUS_EQUIVALENT, matching=(0,), obstructions=(baseline,))
+    with pytest.raises(ConsistencyError, match="distinct verdict carries no branch bijection"):
+        HolderVerdict(STATUS_DISTINCT, matching=(1, 0), k0=BASELINE, obstructions=(baseline,))
+    with pytest.raises(ConsistencyError, match="distinct verdict carries no branch bijection"):
+        HolderVerdict(STATUS_DISTINCT, matching=(), k0=BASELINE, obstructions=(baseline,))

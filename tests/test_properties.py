@@ -7,6 +7,7 @@ cyclotomic coefficients, and truncations that decide every comparison.
 import itertools
 import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from curvegerm import (
     BASELINE,
     STATUS_DISTINCT,
     STATUS_EQUIVALENT,
+    GermValidationError,
     PuiseuxBranch,
     characteristic_data,
     classify,
@@ -23,9 +25,13 @@ from curvegerm import (
     germ,
     germ_from_dict,
     germ_to_dict,
+    holder_key,
     intersection_multiplicity,
     lipschitz_normal_form,
+    load_germ,
 )
+
+DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
 def _entries(verdict):
@@ -197,3 +203,57 @@ def test_pair_fields_agree_with_one_germ_wide_field(generated_germs):
         assert verdict.to_dict() == classify(one1, one2).to_dict()
         statuses.add(verdict.status)
     assert statuses == {STATUS_DISTINCT, STATUS_EQUIVALENT}
+
+
+def _generated_and_demo_germs(generated_germs):
+    demos = [load_germ(path) for path in sorted(DEMO_DATA.glob("*.json"))]
+    return [g for _, g, _ in generated_germs] + demos
+
+
+def test_key_equality_is_the_classify_status(generated_germs):
+    germs = _generated_and_demo_germs(generated_germs)
+    keys = [holder_key(g) for g in germs]
+    equivalent = 0
+    for (g1, k1), (g2, k2) in itertools.product(zip(germs, keys), repeat=2):
+        status = classify(g1, g2).status
+        assert (k1 == k2) == (status == STATUS_EQUIVALENT)
+        equivalent += status == STATUS_EQUIVALENT
+    assert len(germs) ** 2 == 7744 and equivalent > len(germs)
+    # keys hash, so one dict partitions the germs into their classes
+    classes = {}
+    for g, key in zip(germs, keys):
+        classes.setdefault(key, []).append(g)
+    assert sum(len(members) ** 2 for members in classes.values()) == equivalent
+
+
+def test_key_does_not_change_under_reordering_or_conjugation(generated_germs):
+    rng = random.Random(12)
+    for g in _generated_and_demo_germs(generated_germs):
+        key = holder_key(g)
+        order = rng.sample(range(len(g.branches)), len(g.branches))
+        assert holder_key(germ([g.branches[i] for i in order])) == key
+        # a conjugate parametrizes the same branch, whichever branch is turned
+        for i, b in enumerate(g.branches):
+            for k in range(1, b.n):
+                turned = g.branches[:i] + (conjugate(b, k),) + g.branches[i + 1:]
+                assert holder_key(germ(turned)) == key
+
+
+def test_key_does_not_change_under_the_normal_form(generated_germs):
+    # The normal form is a bi-Lipschitz map of one branch, and it moves
+    # the contacts between branches: siblings that part beyond beta_g
+    # even coincide.  So each branch keeps its key as a germ of its own,
+    # and a germ keeps its key wherever its normal forms keep its contacts.
+    kept = 0
+    for g in _generated_and_demo_germs(generated_germs):
+        for b in g.branches:
+            beta = characteristic_data(b).beta
+            assert holder_key(germ([lipschitz_normal_form(b)])) == holder_key(germ([b])) == beta
+        try:
+            normal = germ([lipschitz_normal_form(b) for b in g.branches])
+        except GermValidationError:
+            continue
+        if contact_report(normal) == contact_report(g):
+            assert holder_key(normal) == holder_key(g)
+            kept += 1
+    assert kept >= 10, kept
