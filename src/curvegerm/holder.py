@@ -21,9 +21,11 @@ these labelled trees.  By Zariski and Burau, characteristic data plus
 pairwise contacts is the complete topological invariant of a germ, so
 the tree is a property of each germ alone.  Each germ keeps, built once
 on first use, a summary that no partner changes: its branches'
-characteristic data, the groups of its betas and of its contacts, and
-its contact tree, built in O(r**2) with a canonical key, a nested tuple
-in the manner of Aho, Hopcroft and Ullman (see :func:`holder_key`).  Two
+characteristic data, its contact matrix, and its contact tree, built in
+O(r**2) with a canonical key, a nested tuple in the manner of Aho,
+Hopcroft and Ullman (see :func:`holder_key`); the groups of its betas
+and of its contacts join it the first time a distinct verdict reads
+them.  Only repeated calls on the same germ gain from the cache.  Two
 germs are equivalent exactly when their keys are equal; the bijection
 returned is then the one a search over all r! bijections finds first in
 lexicographic order, read off the two trees once their nodes are
@@ -54,6 +56,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from curvegerm.contact import _contacts
 from curvegerm.invariants import CharacteristicData, characteristic_data
@@ -101,13 +104,14 @@ def pair_obstruction(pairs1, j: int, pairs2, i: int) -> Fraction:
     return Fraction(*_pair_ratio(pairs1, j, pairs2, i))
 
 
-def _branch_ratio(c1: CharacteristicData, c2: CharacteristicData) -> tuple[int, int] | None:
-    """``branch_obstruction`` as an unreduced int pair; None when the betas
-    agree."""
-    if c1.beta == c2.beta:
+def _branch_ratio(pairs1, pairs2) -> tuple[int, int] | None:
+    """``branch_obstruction`` of two branches given by their characteristic
+    pairs, as an unreduced int pair; None when the pairs, and so the
+    betas, agree."""
+    if pairs1 == pairs2:
         return None
-    p1 = c1.pairs or FORMAL_SMOOTH_PAIR
-    p2 = c2.pairs or FORMAL_SMOOTH_PAIR
+    p1 = pairs1 or FORMAL_SMOOTH_PAIR
+    p2 = pairs2 or FORMAL_SMOOTH_PAIR
     g1, g2 = len(p1), len(p2)
     if g1 == g2:
         ratios = [_pair_ratio(p1, i, p2, i) for i in range(1, g1 + 1)]
@@ -133,7 +137,7 @@ def branch_obstruction(c1: CharacteristicData, c2: CharacteristicData) -> Fracti
     to 1 do not obstruct and are skipped (at most one index can produce
     them).
     """
-    ratio = _branch_ratio(c1, c2)
+    ratio = _branch_ratio(c1.pairs, c2.pairs)
     return Fraction(1) if ratio is None else Fraction(*ratio)
 
 
@@ -269,13 +273,14 @@ def _contact_tree(c, den: int, betas):
     """A germ's contact tree and its canonical key, from O(r**2) entries.
 
     ``c`` is the contact matrix, off the diagonal, as int numerators over
-    ``den``.  Returns ``(key, nodes, paths)``.  ``nodes`` lists the nodes
-    in pre-order as ``(label, children)``: a leaf is labelled by its
-    branch's beta, an inner node by its contact level as a reduced
-    Fraction, and ``children`` holds node indices.  ``paths[i]`` lists
-    the nodes from the root down to the leaf of branch i.  ``key`` is the
-    root's canonical form: a leaf is its beta, an inner node is (level,
-    sorted betas of its leaf children, sorted keys of its inner children).
+    ``den``.  Returns ``(key, labels, parents, leaves)``, three flat
+    tuples beside the key.  Node k has label ``labels[k]`` and parent
+    ``parents[k]`` (-1 for the root), and comes after its parent; a leaf
+    is labelled by its branch's beta, an inner node by its contact level
+    as the int pair (numerator, denominator) in lowest terms.
+    ``leaves[i]`` is the leaf of branch i.  ``key`` is the root's
+    canonical form: a leaf is its beta, an inner node is (level, sorted
+    betas of its leaf children, sorted keys of its inner children).
 
     A cluster's level is the least contact from one pivot, which in an
     ultrametric is the least contact in the cluster, and its classes are
@@ -286,21 +291,25 @@ def _contact_tree(c, den: int, betas):
     tree.  Raises RuntimeError on a matrix that is not an ultrametric,
     which exact contacts never are.
     """
-    nodes: list[tuple] = []
-    paths: list[list[int]] = [[] for _ in betas]
-    todo = [(list(range(len(betas))), None)]
+    labels: list = []
+    parents: list[int] = []
+    children: list[list[int]] = []
+    leaves = [0] * len(betas)
+    todo = [(list(range(len(betas))), -1)]
     while todo:
         members, parent = todo.pop()
-        node = len(nodes)
-        if parent is not None:
-            nodes[parent][1].append(node)
-        for i in members:
-            paths[i].append(node)
+        node = len(labels)
+        parents.append(parent)
+        if parent >= 0:
+            children[parent].append(node)
         if len(members) == 1:
-            nodes.append((betas[members[0]], []))
+            # the root of a germ of one branch
+            labels.append(betas[members[0]])
+            children.append([])
+            leaves[members[0]] = node
             continue
         pivot = c[members[0]]
-        level = min(pivot[j] for j in members[1:])
+        level = min([pivot[j] for j in members[1:]])
         classes: list[list[int]] = []
         for i in members:
             for cls in classes:
@@ -319,33 +328,64 @@ def _contact_tree(c, den: int, betas):
                                 "contacts are not an ultrametric at branches "
                                 f"({min(i, j)}, {max(i, j)}): internal bug"
                             )
-        nodes.append((Fraction(level, den), []))
-        todo.extend((cls, node) for cls in reversed(classes))
-    keys: list = [None] * len(nodes)
-    for node in reversed(range(len(nodes))):
-        label, children = nodes[node]
-        if children:
-            leaves = sorted(keys[k] for k in children if not nodes[k][1])
-            inner = sorted(keys[k] for k in children if nodes[k][1])
-            keys[node] = (label, tuple(leaves), tuple(inner))
-        else:
-            keys[node] = label
-    return keys[0], nodes, paths
+        g = math.gcd(level, den)
+        labels.append((level // g, den // g))
+        kids: list[int] = []
+        children.append(kids)
+        # a class of one branch is a leaf, made here
+        for cls in reversed(classes):
+            if len(cls) > 1:
+                todo.append((cls, node))
+            else:
+                kids.append(len(labels))
+                leaves[cls[0]] = len(labels)
+                labels.append(betas[cls[0]])
+                parents.append(node)
+                children.append([])
+    keys: list = labels[:]
+    for node in range(len(labels) - 1, -1, -1):
+        kids = children[node]
+        if kids:
+            leaf_keys, inner_keys = [], []
+            for k in kids:
+                (inner_keys if children[k] else leaf_keys).append(keys[k])
+            leaf_keys.sort()
+            inner_keys.sort()
+            keys[node] = (labels[node], tuple(leaf_keys), tuple(inner_keys))
+    return keys[0], tuple(labels), tuple(parents), tuple(leaves)
 
 
-def _codes(nodes, codes: dict) -> list[int]:
+def _codes(labels, parents, codes: dict) -> list[int]:
     """Intern every node of a contact tree as a small int, children
     before parents, in ``codes``, a dict shared by the trees compared.
 
-    Equal codes mean equal subtrees, and each node costs one lookup of
-    its label and its children's codes, so comparing two nodes is O(1).
+    A leaf is interned by its beta and an inner node by its level and
+    its children's sorted codes, so equal codes mean equal subtrees, and
+    each node costs one lookup: comparing two nodes is O(1).
     """
-    code = [0] * len(nodes)
-    for node in reversed(range(len(nodes))):
-        label, children = nodes[node]
-        key = (label, tuple(sorted(code[k] for k in children)))
-        code[node] = codes.setdefault(key, len(codes))
+    code = [0] * len(labels)
+    kids: list[list[int]] = [[] for _ in labels]
+    for node in range(len(labels) - 1, -1, -1):
+        label = labels[node]
+        if kids[node]:
+            label = (label, tuple(sorted(kids[node])))
+        code[node] = codes.setdefault(label, len(codes))
+        if node:
+            kids[parents[node]].append(code[node])
     return code
+
+
+def _paths(parents, leaves) -> list[list[int]]:
+    """Each branch's nodes from the root down to its leaf."""
+    paths = []
+    for node in leaves:
+        path = []
+        while node >= 0:
+            path.append(node)
+            node = parents[node]
+        path.reverse()
+        paths.append(path)
+    return paths
 
 
 def _first_matching(tree1, tree2) -> tuple[int, ...]:
@@ -395,42 +435,48 @@ def _groups(items):
     return groups
 
 
-@dataclass(frozen=True, eq=False)
 class _Summary:
     """What the classifier reads of one germ, whatever it is compared with.
 
-    ``data`` holds each branch's characteristic data and ``den`` the lcm
-    of the multiplicities.  ``betas`` and ``contacts`` are the
-    :func:`_groups` of the betas by branch and of the contacts, as int
-    numerators over ``den``, by branch pair.  ``key``, ``nodes`` and
-    ``paths`` are the contact tree from :func:`_contact_tree`.
+    ``betas`` and ``pairs`` hold each branch's characteristic exponents
+    and pairs, ``den`` the lcm of the multiplicities and ``contact`` the
+    contact matrix, row after row in one flat tuple, as int numerators
+    over ``den``.  ``key``, ``labels``, ``parents`` and ``leaves`` are
+    the contact tree from :func:`_contact_tree`.  ``beta_groups`` and
+    ``contact_groups``, the :func:`_groups` of the betas by branch and of
+    the contacts by branch pair, are read only for distinct germs, so
+    they are built on first use.  A germ keeps its summary as long as it
+    lives, so the summary is kept in tuples, most of them of ints, which
+    Python's cyclic garbage collector stops tracking.  It is a plain
+    class because making a dataclass costs about 0.6 ms at every import.
     """
 
-    data: tuple[CharacteristicData, ...]
-    den: int
-    betas: dict
-    contacts: dict
-    key: object
-    nodes: list
-    paths: list
+    def __init__(self, betas, pairs, den, contact, key, labels, parents, leaves):
+        self.betas, self.pairs, self.den, self.contact = betas, pairs, den, contact
+        self.key, self.labels, self.parents, self.leaves = key, labels, parents, leaves
+
+    @cached_property
+    def beta_groups(self) -> dict:
+        return _groups(((u,), beta) for u, beta in enumerate(self.betas))
+
+    @cached_property
+    def contact_groups(self) -> dict:
+        r, c = len(self.betas), self.contact
+        pairs = itertools.combinations(range(r), 2)
+        return _groups(((i, j), c[i * r + j]) for i, j in pairs)
 
 
 def _summary(g: CurveGerm) -> _Summary:
     """The germ's summary, built on first use and kept in ``g._holder``."""
     summary = g._holder
     if summary is None:
-        data = tuple(characteristic_data(b) for b in g.branches)
+        data = [characteristic_data(b) for b in g.branches]
+        betas = tuple(d.beta for d in data)
         den = math.lcm(*(b.n for b in g.branches))
         matrix = _contacts(g, den)
-        betas = [d.beta for d in data]
-        pairs = itertools.combinations(range(len(betas)), 2)
-        summary = _Summary(
-            data,
-            den,
-            _groups(((u,), beta) for u, beta in enumerate(betas)),
-            _groups((p, matrix[p[0]][p[1]]) for p in pairs),
-            *_contact_tree(matrix, den, betas),
-        )
+        tree = _contact_tree(matrix, den, betas)
+        contact = tuple(itertools.chain.from_iterable(matrix))
+        summary = _Summary(betas, tuple(d.pairs for d in data), den, contact, *tree)
         object.__setattr__(g, "_holder", summary)
     return summary
 
@@ -439,8 +485,10 @@ def holder_key(g: CurveGerm):
     """The germ's Holder class as a canonical nested tuple, built once.
 
     The key is the germ's contact tree: a leaf is its branch's beta, and
-    an inner node is (its contact level as a reduced Fraction, the sorted
-    betas of its leaf children, the sorted keys of its inner children).
+    an inner node is (its contact level as the int pair (numerator,
+    denominator) in lowest terms, the sorted betas of its leaf children,
+    the sorted keys of its inner children).  Int labels keep comparing
+    and hashing keys in C.
     Two germs have equal keys exactly when some bijection of branches
     keeps every characteristic exponent and every pairwise contact, that
     is when :func:`classify` finds them equivalent; by the paper's
@@ -452,7 +500,7 @@ def holder_key(g: CurveGerm):
     >>> holder_key(germ([branch(2, [(3, 1)])]))
     (2, 3)
     >>> holder_key(germ([branch(2, [(5, 1)]), branch(2, [(3, 1)])]))
-    (Fraction(3, 2), ((2, 3), (2, 5)), ())
+    ((3, 2), ((2, 3), (2, 5)), ())
     """
     return _summary(g).key
 
@@ -488,18 +536,19 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
     s1, s2 = _summary(germ1), _summary(germ2)
     if s1.key == s2.key:
         codes: dict = {}
-        tree1 = (_codes(s1.nodes, codes), s1.paths)
-        tree2 = (_codes(s2.nodes, codes), s2.paths)
-        return HolderVerdict(STATUS_EQUIVALENT, matching=_first_matching(tree1, tree2))
+        trees = [
+            (_codes(s.labels, s.parents, codes), _paths(s.parents, s.leaves)) for s in (s1, s2)
+        ]
+        return HolderVerdict(STATUS_EQUIVALENT, matching=_first_matching(*trees))
 
     obstructions = [
         Obstruction(KIND_BASELINE, BASELINE, "always present; keeps the set non-empty")
     ]
     # k0 as an int pair, raised by cross-multiplication
     top, bottom = BASELINE.numerator, BASELINE.denominator
-    for first, n1 in s1.betas.values():
-        for second, n2 in s2.betas.values():
-            ratio = _branch_ratio(s1.data[first[0]], s2.data[second[0]])
+    for first, n1 in s1.beta_groups.values():
+        for second, n2 in s2.beta_groups.values():
+            ratio = _branch_ratio(s1.pairs[first[0]], s2.pairs[second[0]])
             if ratio is not None:
                 num, den = ratio
                 if num * bottom > top * den:
@@ -516,8 +565,8 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
                     )
                 )
     # each germ's contacts over its own denominator, put over den1 * den2
-    contacts2 = [(cont2 * s1.den, group) for cont2, group in s2.contacts.items()]
-    for cont1, (first, n1) in s1.contacts.items():
+    contacts2 = [(cont2 * s1.den, group) for cont2, group in s2.contact_groups.items()]
+    for cont1, (first, n1) in s1.contact_groups.items():
         cont1 *= s2.den
         for cont2, (second, n2) in contacts2:
             ratio = _contact_ratio(cont1, cont2)

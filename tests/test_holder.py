@@ -25,7 +25,7 @@ from curvegerm import (
     load_germ,
     pair_obstruction,
 )
-from curvegerm.holder import FORMAL_SMOOTH_PAIR, _contact_tree
+from curvegerm.holder import FORMAL_SMOOTH_PAIR, _contact_tree, _paths
 from curvegerm.puiseux import ConsistencyError
 
 DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -315,27 +315,43 @@ def test_contact_tree_reads_at_most_four_r_squared_entries(make, depth):
     r = 300
     matrix = make(r)
     CountingRow.reads = 0
-    key, nodes, paths = _contact_tree([CountingRow(row) for row in matrix], 1, [(1,)] * r)
+    key, labels, parents, leaves = _contact_tree(
+        [CountingRow(row) for row in matrix], 1, [(1,)] * r
+    )
     assert CountingRow.reads <= 4 * r * r
-    assert len(nodes) == 2 * r - 1
+    assert len(labels) == len(parents) == 2 * r - 1
+    paths = _paths(parents, leaves)
     assert max(len(path) for path in paths) == depth
     for i, j in itertools.combinations(range(0, r, 7), 2):
         # the deepest common node of two root paths is labelled by their contact
         common = [a for a, b in zip(paths[i], paths[j]) if a == b]
-        assert nodes[common[-1]][0] == matrix[i][j]
+        assert labels[common[-1]] == (matrix[i][j], 1)
 
 
 def test_key_is_the_canonical_tree():
     chain = caterpillar(4)
-    key, _, _ = _contact_tree(chain, 2, [(1,), (2, 3), (1,), (2, 5)])
-    inner = (Fraction(3, 2), ((1,), (2, 5)), ())
-    assert key == (Fraction(1, 2), ((1,),), ((Fraction(1), ((2, 3),), (inner,)),))
+    key = _contact_tree(chain, 2, [(1,), (2, 3), (1,), (2, 5)])[0]
+    inner = ((3, 2), ((1,), (2, 5)), ())
+    assert key == ((1, 2), ((1,),), (((1, 1), ((2, 3),), (inner,)),))
     # contacts over another denominator and the branches listed in another
     # order give the same key
     order = [3, 1, 0, 2]
     scaled = [[None if chain[a][b] is None else 3 * chain[a][b] for b in order] for a in order]
-    again, _, _ = _contact_tree(scaled, 6, [(2, 5), (2, 3), (1,), (1,)])
+    again = _contact_tree(scaled, 6, [(2, 5), (2, 3), (1,), (1,)])[0]
     assert again == key
+
+
+def test_matching_tells_look_alike_clusters_apart_by_level():
+    # two clusters of two smooth branches each, alike but for their
+    # levels: contact 3 inside the first, 2 inside the second
+    close = [branch(1, [(1, 1), (2, 1), (3, c)], truncation=3) for c in (1, 2)]
+    loose = [branch(1, [(1, 2), (2, c)], truncation=3) for c in (1, 2)]
+    g, h = germ(close + loose), germ(loose + close)
+    verdict = classify(g, h)
+    assert verdict.matching == (2, 3, 0, 1)
+    c1, c2 = contact_report(g).contact, contact_report(h).contact
+    s = verdict.matching
+    assert all(c1[i][j] == c2[s[i]][s[j]] for i in range(4) for j in range(4) if i != j)
 
 
 def test_verdict_consistency_is_enforced():
