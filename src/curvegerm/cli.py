@@ -25,7 +25,9 @@ files in each, come in order of first appearance on the command line::
       ]
     }
 
-Exit codes: 0 success, 2 parse or validation error, 3 truncation
+Exit codes: 0 success, 1 standard output closed before the report was
+written (the reader of a pipe quit early, as ``head`` does; nothing is
+printed to stderr), 2 parse or validation error, 3 truncation
 insufficient, 4 unsupported request, 5 internal error (a RuntimeError
 from a broken invariant of the library, such as a non-ultrametric
 contact matrix, or a ConsistencyError from a result's own check, such
@@ -38,6 +40,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -65,6 +68,7 @@ from curvegerm.puiseux import (
 )
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_VALIDATION = 2
 EXIT_TRUNCATION = 3
 EXIT_UNSUPPORTED = 4
@@ -328,6 +332,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        code = _answer(args)
+        # flush here, so that a closed pipe raises inside this try
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader quit early; point stdout at devnull so that Python's
+        # own flush at exit does not raise again (see "Note on SIGPIPE" in
+        # the documentation of the signal module)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _answer(args) -> int:
+    """Run the command and print its report or its error; the exit code."""
     try:
         payload = args.handler(args)
     except GermValidationError as exc:

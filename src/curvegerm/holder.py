@@ -20,12 +20,11 @@ keeps every beta and every contact exactly when it is an isomorphism of
 these labelled trees.  By Zariski and Burau, characteristic data plus
 pairwise contacts is the complete topological invariant of a germ, so
 the tree is a property of each germ alone.  Each germ keeps, built once
-on first use, a summary that no partner changes: its branches'
-characteristic data, its contact matrix, and its contact tree, built in
-O(r**2) with a canonical key, a nested tuple in the manner of Aho,
-Hopcroft and Ullman (see :func:`holder_key`); the groups of its betas
-and of its contacts join it the first time a distinct verdict reads
-them.  Only repeated calls on the same germ gain from the cache.  Two
+on first use, a summary that no partner changes: its branches' betas
+and marks, its contact matrix, and its contact tree, built in O(r**2)
+with a canonical key, a nested tuple in the manner of Aho, Hopcroft and
+Ullman (see :func:`holder_key`); the groups of its betas and of its
+contacts join it the first time a distinct verdict reads them.  Two
 germs are equivalent exactly when their keys are equal; the bijection
 returned is then the one a search over all r! bijections finds first in
 lexicographic order, read off the two trees once their nodes are
@@ -39,15 +38,17 @@ at most r - 1 distinct contacts, so the list has at most
 1 + r**2 + (r - 1)**2 entries.
 
 All thresholds are exact rationals; the fourth root is applied only at
-presentation time.  The scan compares values as unreduced int pairs
-(numerator, denominator) from ``_pair_ratio``, ``_branch_ratio`` and
-``_contact_ratio``, and k0 by cross-multiplication; contacts, kept as
-int numerators over each germ's own lcm of multiplicities, are compared
-across germs by cross-multiplication too.  A ``Fraction`` is
-made only for a value handed out: each emitted obstruction, k0, and the
-result of a public obstruction function, which wraps the same helper.
-The checks of ``Obstruction`` and ``HolderVerdict`` compare the ints of
-those Fractions.
+presentation time.  Of a branch, a pair obstruction reads only the
+truncated exponent ratios m_j/(n_1...n_j), kept once per germ as the
+branch's marks ((m_1, N_1), ..., (m_g, N_g)), N_j = n_1...n_j, so each
+partner costs ``_pair_ratio`` two products and first calls gain too.
+The scan compares values as unreduced int pairs (numerator,
+denominator) from ``_pair_ratio``, ``_branch_ratio`` and
+``_contact_ratio``, and k0 by cross-multiplication, as it compares
+contacts across germs, kept as int numerators over each germ's own lcm
+of multiplicities.  A ``Fraction`` is made only for a value handed out:
+each emitted obstruction, k0, and the result of a public obstruction
+function, which builds marks from pairs and wraps the same helpers.
 """
 
 from __future__ import annotations
@@ -77,13 +78,22 @@ BASELINE = Fraction(1, 2)
 FORMAL_SMOOTH_PAIR = ((1, 1),)
 
 
-def _pair_ratio(pairs1, j: int, pairs2, i: int) -> tuple[int, int]:
-    """``pair_obstruction`` as an unreduced int pair (numerator, denominator).
+def _marks(pairs) -> tuple[tuple[int, int], ...]:
+    """A branch's marks ((m_1, N_1), ..., (m_g, N_g)), N_j = n_1...n_j,
+    from its characteristic pairs; a smooth branch gets the marks of
+    ``FORMAL_SMOOTH_PAIR``."""
+    marks, product = [], 1
+    for m, n in pairs or FORMAL_SMOOTH_PAIR:
+        product *= n
+        marks.append((m, product))
+    return tuple(marks)
 
-    With a, b > 0, min((a+b)/(2b), (a+b)/(2a)) = (a+b)/(2 max(a, b)).
-    """
-    a = pairs1[j - 1][0] * math.prod(q for _, q in pairs2[:i])
-    b = pairs2[i - 1][0] * math.prod(n for _, n in pairs1[:j])
+
+def _pair_ratio(mark1, mark2) -> tuple[int, int]:
+    """``pair_obstruction`` of marks (m_j, N_j) and (l_i, Q_i) as an unreduced
+    int pair: with a = m_j * Q_i and b = l_i * N_j, both positive,
+    min((a+b)/(2b), (a+b)/(2a)) = (a+b)/(2 max(a, b))."""
+    a, b = mark1[0] * mark2[1], mark2[0] * mark1[1]
     return a + b, 2 * max(a, b)
 
 
@@ -101,30 +111,27 @@ def pair_obstruction(pairs1, j: int, pairs2, i: int) -> Fraction:
         raise IndexError(f"pair index {j} out of range 1..{len(pairs1)}")
     if not 1 <= i <= len(pairs2):
         raise IndexError(f"pair index {i} out of range 1..{len(pairs2)}")
-    return Fraction(*_pair_ratio(pairs1, j, pairs2, i))
+    return Fraction(*_pair_ratio(_marks(pairs1)[j - 1], _marks(pairs2)[i - 1]))
 
 
-def _branch_ratio(pairs1, pairs2) -> tuple[int, int] | None:
-    """``branch_obstruction`` of two branches given by their characteristic
-    pairs, as an unreduced int pair; None when the pairs, and so the
-    betas, agree."""
-    if pairs1 == pairs2:
+def _branch_ratio(marks1, marks2) -> tuple[int, int] | None:
+    """``branch_obstruction`` of two branches given by their marks, as an
+    unreduced int pair; None when the marks, and so the betas, agree."""
+    if marks1 == marks2:
         return None
-    p1 = pairs1 or FORMAL_SMOOTH_PAIR
-    p2 = pairs2 or FORMAL_SMOOTH_PAIR
-    g1, g2 = len(p1), len(p2)
+    g1, g2 = len(marks1), len(marks2)
     if g1 == g2:
-        ratios = [_pair_ratio(p1, i, p2, i) for i in range(1, g1 + 1)]
+        scan = zip(marks1, marks2)
     elif g1 > g2:
-        ratios = [_pair_ratio(p1, j, p2, g2) for j in range(g2, g1 + 1)]
+        scan = zip(marks1[g2 - 1:], marks2[-1:] * (g1 - g2 + 1))
     else:
-        ratios = [_pair_ratio(p1, g1, p2, i) for i in range(g1, g2 + 1)]
-    obstructing = [(num, den) for num, den in ratios if num != den]
-    best = obstructing[0]
-    for num, den in obstructing[1:]:
-        if num * best[1] > best[0] * den:
-            best = num, den
-    return best
+        scan = zip(marks1[-1:] * (g2 - g1 + 1), marks2[g1 - 1:])
+    top, bottom = 0, 1
+    for mark1, mark2 in scan:
+        num, den = _pair_ratio(mark1, mark2)
+        if num != den and num * bottom > top * den:
+            top, bottom = num, den
+    return top, bottom
 
 
 def branch_obstruction(c1: CharacteristicData, c2: CharacteristicData) -> Fraction:
@@ -137,7 +144,7 @@ def branch_obstruction(c1: CharacteristicData, c2: CharacteristicData) -> Fracti
     to 1 do not obstruct and are skipped (at most one index can produce
     them).
     """
-    ratio = _branch_ratio(c1.pairs, c2.pairs)
+    ratio = _branch_ratio(_marks(c1.pairs), _marks(c2.pairs))
     return Fraction(1) if ratio is None else Fraction(*ratio)
 
 
@@ -153,13 +160,12 @@ def contact_obstruction(cont1: Fraction, cont2: Fraction) -> Fraction:
     """Obstruction from a pair of contact exponents; 1 when they agree."""
     if cont1 < 1 or cont2 < 1:
         raise ValueError("contact exponents are always at least 1")
-    ratio = _contact_ratio(
-        cont1.numerator * cont2.denominator, cont2.numerator * cont1.denominator
-    )
+    a, b = cont1.numerator * cont2.denominator, cont2.numerator * cont1.denominator
+    ratio = _contact_ratio(a, b)
     return Fraction(1) if ratio is None else Fraction(*ratio)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Obstruction:
     """One member of the obstruction set E, with its witness.
 
@@ -168,7 +174,8 @@ class Obstruction:
     indices of the first and of the second germ (``(u,)`` and ``(v,)``
     for characteristic exponents, ``(i, j)`` and ``(u, v)`` for
     contacts), and ``count`` is how many such pairs share its source
-    values.
+    values.  The constructor checks the fields and stores them in one dict
+    update, half the cost of a frozen dataclass's own ``__init__``.
     """
 
     kind: str
@@ -178,15 +185,16 @@ class Obstruction:
     second: tuple[int, ...] = ()
     count: int = 1
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            raise ConsistencyError(
-                f"obstruction value {self.value!r} is not an exact Fraction"
-            )
-        if not 0 < self.value.numerator <= self.value.denominator:
-            raise ConsistencyError(f"obstruction value {self.value} outside (0, 1]")
-        if self.count < 1:
-            raise ConsistencyError(f"obstruction count {self.count} is not positive")
+    def __init__(self, kind, value, witness, first=(), second=(), count=1):
+        if not isinstance(value, Fraction):
+            raise ConsistencyError(f"obstruction value {value!r} is not an exact Fraction")
+        if not 0 < value.numerator <= value.denominator:
+            raise ConsistencyError(f"obstruction value {value} outside (0, 1]")
+        if count < 1:
+            raise ConsistencyError(f"obstruction count {count} is not positive")
+        self.__dict__.update(
+            kind=kind, value=value, witness=witness, first=first, second=second, count=count
+        )
 
     def to_dict(self) -> dict:
         payload = {"kind": self.kind, "value": str(self.value), "witness": self.witness}
@@ -227,11 +235,15 @@ class HolderVerdict:
                 raise ConsistencyError("distinct verdict carries no branch bijection")
             if not isinstance(self.k0, Fraction):
                 raise ConsistencyError(f"k0 {self.k0!r} is not an exact Fraction")
-            # k0 = p/q is one of the values, none exceeds it, and p < q;
-            # Fractions are reduced, so equal values have equal ints
+            # k0 = p/q is one of the values, none exceeds it, and p < q, in
+            # one pass; Fractions are reduced, so equal values have equal ints
             p, q = self.k0.numerator, self.k0.denominator
-            values = [(o.value.numerator, o.value.denominator) for o in self.obstructions]
-            if (p, q) not in values or any(a * q > p * b for a, b in values) or not p < q:
+            ok, among = p < q, False
+            for o in self.obstructions:
+                a, b = o.value.numerator, o.value.denominator
+                ok = ok and a * q <= p * b
+                among = among or (a == p and b == q)
+            if not (ok and among):
                 raise ConsistencyError("distinct verdict needs k0 = max obstruction < 1")
         else:
             raise ConsistencyError(f"unknown status {self.status!r}")
@@ -438,21 +450,21 @@ def _groups(items):
 class _Summary:
     """What the classifier reads of one germ, whatever it is compared with.
 
-    ``betas`` and ``pairs`` hold each branch's characteristic exponents
-    and pairs, ``den`` the lcm of the multiplicities and ``contact`` the
-    contact matrix, row after row in one flat tuple, as int numerators
-    over ``den``.  ``key``, ``labels``, ``parents`` and ``leaves`` are
-    the contact tree from :func:`_contact_tree`.  ``beta_groups`` and
-    ``contact_groups``, the :func:`_groups` of the betas by branch and of
-    the contacts by branch pair, are read only for distinct germs, so
-    they are built on first use.  A germ keeps its summary as long as it
-    lives, so the summary is kept in tuples, most of them of ints, which
-    Python's cyclic garbage collector stops tracking.  It is a plain
-    class because making a dataclass costs about 0.6 ms at every import.
+    ``betas`` and ``marks`` (:func:`_marks`) are per branch, ``den`` is
+    the lcm of the multiplicities and ``contact`` the contact matrix,
+    row after row in one flat tuple, as int numerators over ``den``.
+    ``key``, ``labels``, ``parents`` and ``leaves`` are the contact tree
+    from :func:`_contact_tree`.  ``beta_groups`` and ``contact_groups``,
+    the :func:`_groups` of the betas by branch and of the contacts by
+    branch pair, are read only for distinct germs, so they are built on
+    first use.  A germ keeps its summary as long as it lives, so the
+    summary is kept in tuples, most of them of ints, which Python's
+    cyclic garbage collector stops tracking.  It is a plain class
+    because making a dataclass costs about 0.6 ms at every import.
     """
 
-    def __init__(self, betas, pairs, den, contact, key, labels, parents, leaves):
-        self.betas, self.pairs, self.den, self.contact = betas, pairs, den, contact
+    def __init__(self, betas, marks, den, contact, key, labels, parents, leaves):
+        self.betas, self.marks, self.den, self.contact = betas, marks, den, contact
         self.key, self.labels, self.parents, self.leaves = key, labels, parents, leaves
 
     @cached_property
@@ -476,7 +488,7 @@ def _summary(g: CurveGerm) -> _Summary:
         matrix = _contacts(g, den)
         tree = _contact_tree(matrix, den, betas)
         contact = tuple(itertools.chain.from_iterable(matrix))
-        summary = _Summary(betas, tuple(d.pairs for d in data), den, contact, *tree)
+        summary = _Summary(betas, tuple([_marks(d.pairs) for d in data]), den, contact, *tree)
         object.__setattr__(g, "_holder", summary)
     return summary
 
@@ -526,11 +538,8 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
     """
     r1, r2 = len(germ1.branches), len(germ2.branches)
     if r1 != r2:
-        baseline = Obstruction(
-            KIND_BASELINE,
-            BASELINE,
-            f"branch counts differ ({r1} vs {r2}); no homeomorphism matches them",
-        )
+        witness = f"branch counts differ ({r1} vs {r2}); no homeomorphism matches them"
+        baseline = Obstruction(KIND_BASELINE, BASELINE, witness)
         return HolderVerdict(STATUS_DISTINCT, k0=BASELINE, obstructions=(baseline,))
 
     s1, s2 = _summary(germ1), _summary(germ2)
@@ -548,21 +557,15 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
     top, bottom = BASELINE.numerator, BASELINE.denominator
     for first, n1 in s1.beta_groups.values():
         for second, n2 in s2.beta_groups.values():
-            ratio = _branch_ratio(s1.pairs[first[0]], s2.pairs[second[0]])
+            ratio = _branch_ratio(s1.marks[first[0]], s2.marks[second[0]])
             if ratio is not None:
                 num, den = ratio
                 if num * bottom > top * den:
                     top, bottom = num, den
+                value = Fraction(num, den)
+                witness = f"branch {first[0]} of the first germ vs branch {second[0]} of the second"
                 obstructions.append(
-                    Obstruction(
-                        KIND_CHAR_EXPONENTS,
-                        Fraction(num, den),
-                        f"branch {first[0]} of the first germ vs branch {second[0]} "
-                        "of the second",
-                        first,
-                        second,
-                        n1 * n2,
-                    )
+                    Obstruction(KIND_CHAR_EXPONENTS, value, witness, first, second, n1 * n2)
                 )
     # each germ's contacts over its own denominator, put over den1 * den2
     contacts2 = [(cont2 * s1.den, group) for cont2, group in s2.contact_groups.items()]
@@ -574,16 +577,13 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
                 num, den = ratio
                 if num * bottom > top * den:
                     top, bottom = num, den
+                value = Fraction(num, den)
+                witness = (
+                    f"contact of branches ({first[0]},{first[1]}) in the first "
+                    f"germ vs ({second[0]},{second[1]}) in the second"
+                )
                 obstructions.append(
-                    Obstruction(
-                        KIND_CONTACT,
-                        Fraction(num, den),
-                        f"contact of branches ({first[0]},{first[1]}) in the first "
-                        f"germ vs ({second[0]},{second[1]}) in the second",
-                        first,
-                        second,
-                        n1 * n2,
-                    )
+                    Obstruction(KIND_CONTACT, value, witness, first, second, n1 * n2)
                 )
     return HolderVerdict(
         STATUS_DISTINCT, k0=Fraction(top, bottom), obstructions=tuple(obstructions)

@@ -40,23 +40,27 @@ class CharacteristicData:
     genus: int
 
     def __post_init__(self):
+        beta, e = self.beta, self.e
         ok = (
-            len(self.beta) == len(self.e) == self.genus + 1
+            len(beta) == len(e) == self.genus + 1
             and len(self.pairs) == self.genus
-            and self.beta[0] == self.e[0]
-            and self.e[-1] == 1
+            and beta[0] == e[0]
+            and e[-1] == 1
         )
-        for i in range(1, self.genus + 1):
-            m, nn = self.pairs[i - 1]
-            ok = ok and (
-                self.e[i] == math.gcd(self.e[i - 1], self.beta[i])
-                and self.e[i] < self.e[i - 1]
-                and (i == 1 or self.beta[i] > self.beta[i - 1])
-                and self.beta[i] == m * self.e[i]
-                and self.e[i - 1] == nn * self.e[i]
-            )
-        ok = ok and math.prod(nn for _, nn in self.pairs) == self.beta[0]
-        if not ok:
+        # one pass: n_1 * ... * n_g, taken along the way, must be beta_0
+        product = 1
+        for i, (m, nn) in enumerate(self.pairs if ok else (), 1):
+            product *= nn
+            if not (
+                e[i] == math.gcd(e[i - 1], beta[i])
+                and e[i] < e[i - 1]
+                and (i == 1 or beta[i] > beta[i - 1])
+                and beta[i] == m * e[i]
+                and e[i - 1] == nn * e[i]
+            ):
+                ok = False
+                break
+        if not (ok and product == beta[0]):
             raise ConsistencyError(f"inconsistent characteristic data: {self}")
 
 
@@ -68,23 +72,26 @@ def characteristic_data(b: PuiseuxBranch) -> CharacteristicData:
     """
     if b.n == 1:
         return CharacteristicData((1,), (1,), (), 0)
-    exponents = b.exponents
     beta = [b.n]
     e = [b.n]
-    while e[-1] > 1:
-        nxt = min((m for m in exponents if m % e[-1]), default=None)
-        if nxt is None:
-            raise TruncationExceeded(
-                f"characteristic recursion is stuck at gcd e={e[-1]}: every known "
-                f"exponent up to the truncation {b.truncation} is divisible by it "
-                "(branch non-primitive as far as visible; supply more terms)"
-            )
-        beta.append(nxt)
-        e.append(math.gcd(e[-1], nxt))
-    pairs = tuple(
-        (beta[i] // e[i], e[i - 1] // e[i]) for i in range(1, len(beta))
-    )
-    return CharacteristicData(tuple(beta), tuple(e), pairs, len(pairs))
+    pairs = []
+    # exponents increase, so beta_{i+1} is the first exponent past beta_i
+    # that e_i does not divide: one walk over the terms finds them all
+    for m, _ in b.terms:
+        if m % e[-1]:
+            g = math.gcd(e[-1], m)
+            pairs.append((m // g, e[-1] // g))
+            beta.append(m)
+            e.append(g)
+            if g == 1:
+                break
+    else:
+        raise TruncationExceeded(
+            f"characteristic recursion is stuck at gcd e={e[-1]}: every known "
+            f"exponent up to the truncation {b.truncation} is divisible by it "
+            "(branch non-primitive as far as visible; supply more terms)"
+        )
+    return CharacteristicData(tuple(beta), tuple(e), tuple(pairs), len(pairs))
 
 
 def lipschitz_normal_form(b: PuiseuxBranch) -> PuiseuxBranch:

@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -43,6 +46,7 @@ AXIS_AND_CUBIC = {
     ]
 }
 DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 AXIS = {"branches": [{"n": 1, "truncation": 16, "terms": []}]}
 PARABOLA = {
     "branches": [
@@ -510,3 +514,31 @@ def test_classes_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(holder, "_contact_tree", broken)
     code, payload = run_json(capsys, ["classes", write(tmp_path, "two.json", AXIS_AND_PARABOLA)])
     assert (code, payload["error_kind"]) == (5, "internal")
+
+
+@pytest.mark.parametrize("lines_read", [1, 0])
+def test_a_reader_that_quits_early_gets_no_traceback(tmp_path, lines_read):
+    axis = write(tmp_path, "axis.json", AXIS)
+    if lines_read:
+        # a report of over 128 KiB, twice what a pipe holds, so the writer
+        # is still writing when the reader closes its end
+        argv = ["classes", *[axis] * (2**17 // len(axis) + 1), "--json"]
+    else:
+        # a short report, buffered until the exit code is known: the pipe
+        # is closed before it is written
+        argv = ["classify", axis, str(DEMO_DATA / "axis_and_cubic.json"), "--json"]
+    # stdout block-buffered, as a console script's is by default
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    with subprocess.Popen(
+        [sys.executable, "-m", "curvegerm.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as child:
+        if lines_read:
+            assert child.stdout.readline() == b"{\n"
+        child.stdout.close()
+        stderr = child.stderr.read()
+    assert child.returncode == cli.EXIT_BROKEN_PIPE == 1
+    assert stderr == b""

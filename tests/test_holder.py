@@ -506,6 +506,41 @@ def test_public_obstructions_match_the_fraction_scan(generated_germs):
     assert contact_obstruction(2, 3) == Fraction(2, 3)
 
 
+#: Characteristic sequences (beta_0; beta_1, ..., beta_g) up to genus 4,
+#: some sharing a prefix, so that pairs of every genus gap reach the scan.
+DEEP_GENUS = [
+    (1,),
+    (2, 3),
+    (2, 5),
+    (3, 4),
+    (4, 6, 7),
+    (4, 6, 9),
+    (6, 9, 10),
+    (8, 12, 14, 15),
+    (8, 12, 14, 17),
+    (8, 12, 18, 19),
+    (16, 24, 28, 30, 31),
+    (16, 24, 28, 30, 33),
+]
+
+
+def test_marks_scan_matches_the_fraction_scan_up_to_genus_four():
+    branches = [branch(n, [(m, 1) for m in rest], truncation=40) for n, *rest in DEEP_GENUS]
+    data = [characteristic_data(b) for b in branches]
+    assert [d.beta for d in data] == DEEP_GENUS
+    assert {d.genus for d in data} == {0, 1, 2, 3, 4}
+    for c1, c2 in itertools.product(data, data):
+        assert branch_obstruction(c1, c2) == fraction_branch_obstruction(c1, c2)
+        p1, p2 = c1.pairs or FORMAL_SMOOTH_PAIR, c2.pairs or FORMAL_SMOOTH_PAIR
+        for j, i in itertools.product(range(1, len(p1) + 1), range(1, len(p2) + 1)):
+            assert pair_obstruction(p1, j, p2, i) == fraction_pair_obstruction(p1, j, p2, i)
+    # and through classify, which reads the marks each germ keeps
+    germs = [germ([b]) for b in branches]
+    germs += [germ([b1, b2]) for b1, b2 in itertools.combinations(branches[-5:], 2)]
+    for g1, g2 in itertools.product(germs, germs):
+        assert classify(g1, g2) == fraction_classify(g1, g2)
+
+
 def test_verdict_checks_reject_inexact_values():
     with pytest.raises(ConsistencyError, match="not an exact Fraction"):
         Obstruction("contact", 0.5, "x", (0, 1), (0, 1), 1)
