@@ -47,7 +47,8 @@ denominator) from ``_pair_ratio``, ``_branch_ratio`` and
 ``_contact_ratio``, and k0 by cross-multiplication, as it compares
 contacts across germs, kept as int numerators over each germ's own lcm
 of multiplicities.  A ``Fraction`` is made only for a value handed out:
-each emitted obstruction, k0, and the result of a public obstruction
+one per distinct int pair among a verdict's obstructions (those with
+equal pairs share it), k0, and the result of a public obstruction
 function, which builds marks from pairs and wraps the same helpers.
 """
 
@@ -553,8 +554,10 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
     obstructions = [
         Obstruction(KIND_BASELINE, BASELINE, "always present; keeps the set non-empty")
     ]
-    # k0 as an int pair, raised by cross-multiplication
+    # k0 as an int pair, raised by cross-multiplication; one Fraction per
+    # distinct (num, den) pair, as many obstructions share a value
     top, bottom = BASELINE.numerator, BASELINE.denominator
+    values: dict[tuple[int, int], Fraction] = {}
     for first, n1 in s1.beta_groups.values():
         for second, n2 in s2.beta_groups.values():
             ratio = _branch_ratio(s1.marks[first[0]], s2.marks[second[0]])
@@ -562,7 +565,9 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
                 num, den = ratio
                 if num * bottom > top * den:
                     top, bottom = num, den
-                value = Fraction(num, den)
+                value = values.get(ratio)
+                if value is None:
+                    value = values[ratio] = Fraction(num, den)
                 witness = f"branch {first[0]} of the first germ vs branch {second[0]} of the second"
                 obstructions.append(
                     Obstruction(KIND_CHAR_EXPONENTS, value, witness, first, second, n1 * n2)
@@ -577,7 +582,9 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
                 num, den = ratio
                 if num * bottom > top * den:
                     top, bottom = num, den
-                value = Fraction(num, den)
+                value = values.get(ratio)
+                if value is None:
+                    value = values[ratio] = Fraction(num, den)
                 witness = (
                     f"contact of branches ({first[0]},{first[1]}) in the first "
                     f"germ vs ({second[0]},{second[1]}) in the second"

@@ -4,12 +4,12 @@ The contact of two germs at the origin is the limiting slope of
 ln(gap(r)) against ln(r).  For two branches, gap(r) is the smallest
 |y1 - y2| over the same x, swept over the circle |x| = r and over every
 pair of conjugates.  Each difference comes from the exact difference
-series, so terms that cancel never reach floating point, and each
-conjugate takes one matrix product: its coefficients times roots of
-unity from one table, times real powers of the radii.  For two sampled
-arcs, gap(r) is the distance between their points of equal index.  The
-slope is a least-squares fit in closed form, from centred sums, and
-comes with its r^2.  This is the numeric cross-check for the exact
+series, so terms that cancel never reach floating point, and one
+product for all conjugates gives every difference: their coefficients
+times roots of unity from one cached table, times real powers of the
+radii.  For two sampled arcs, gap(r) is the distance between their
+points of equal index.  The slope is a least-squares fit in closed
+form, from centred sums, and comes with its r^2.  This is the numeric cross-check for the exact
 contact computation; it also exercises the distortion bounds a radial
 Holder map must satisfy.
 
@@ -19,14 +19,16 @@ excluded so cancellation inside a sampled arc does not drown the signal.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from curvegerm.invariants import characteristic_data
-from curvegerm.puiseux import PuiseuxBranch, _is_int, conjugate, difference_series
+from curvegerm.puiseux import PuiseuxBranch, _differences, _is_int, conjugate
 
 #: Radii below this are dropped from default grids.
 DEFAULT_MIN_RADIUS = 1e-6
@@ -41,13 +43,29 @@ _FIT_POINTS = 8
 _GAP_FLOOR = float(np.finfo(float).tiny)
 
 
+@functools.lru_cache(maxsize=32)
+def _roots(period: int) -> np.ndarray:
+    """The roots of unity exp(2*pi*i*j/period), 0 <= j < period, read-only."""
+    roots = np.exp(2j * math.pi * np.arange(period) / period)
+    roots.flags.writeable = False
+    return roots
+
+
 def geometric_grid(r_max: float = 1e-1, r_min: float = 1e-4, count: int = 16) -> np.ndarray:
     """Strictly decreasing geometric radius grid from r_max down to r_min."""
     if not 0 < r_min < r_max < math.inf:
         raise ValueError("need 0 < r_min < r_max < inf")
     if count < 2:
         raise ValueError("need at least two grid points")
-    return np.geomspace(r_max, r_min, count)
+    # the steps np.geomspace takes, without its generality: the same bits
+    start, stop = np.log10(float(r_max)), np.log10(float(r_min))
+    y = np.arange(operator.index(count), dtype=float)
+    y *= (stop - start) / (count - 1)
+    y += start
+    y[-1] = stop
+    grid = 10.0**y
+    grid[0], grid[-1] = r_max, r_min
+    return grid
 
 
 @dataclass(eq=False)
@@ -90,10 +108,11 @@ def sample_branch_arc(
 
     ``grid`` holds the t-radii s, strictly decreasing in (0, 0.5]; the
     x-coordinates of the resulting points sit at radius s^n and angle
-    ``angle``.
+    ``angle``.  By default s runs over the n-th roots of
+    :func:`default_branch_grid`.
     """
     if grid is None:
-        grid = geometric_grid() ** (1.0 / b.n)
+        grid = default_branch_grid(b) ** (1.0 / b.n)
     s = np.asarray(grid, dtype=float)
     _validate_t_grid(s)
     t = np.exp(1j * (angle + 2.0 * math.pi * (conj % b.n)) / b.n) * s
@@ -125,14 +144,14 @@ class ContactEstimate:
 def _fit_loglog(radii: np.ndarray, gaps: np.ndarray) -> ContactEstimate:
     if radii.size < _FIT_POINTS:
         raise ValueError(f"need at least {_FIT_POINTS} grid points for a contact estimate")
-    if np.any(gaps <= 0):
+    if (gaps <= 0).any():
         raise ValueError("zero gap encountered: the sampled sets overlap")
     x, y = np.log(radii), np.log(gaps)
-    if np.ptp(x) == 0:
+    if x.max() - x.min() == 0:
         raise ValueError("degenerate regression: all radii are equal")
-    if np.ptp(y) == 0:
+    if y.max() - y.min() == 0:
         raise ValueError("degenerate regression: all gaps are equal")
-    x, y = x - x.mean(), y - y.mean()
+    x, y = x - x.sum() / x.size, y - y.sum() / y.size
     slope = float(x @ y) / float(x @ x)
     residuals = y - slope * x
     r_squared = 1.0 - float(residuals @ residuals) / float(y @ y)
@@ -163,9 +182,11 @@ def branch_gap_profile(
     at the n1*angles points s = rho * w^m, rho = r^(1/n) and
     w = exp(2*pi*i/(n*angles)), which lie over every x of the sweep (sheet
     m // angles of b1 against sheet m // angles + k of b2).  As s^e =
-    w^(m*e mod n*angles) * rho^e, conjugate k takes one product of the
-    complex U[m, e] = d_e * w^(m*e), read from one table of roots of
-    unity, and the real V[e, r] = rho^e.  ``angles`` is an int >= 1.
+    w^(m*e mod n*angles) * rho^e, one product for all conjugates gives
+    every difference: the complex U[k, m, e] = d_ke * w^(m*e), over the
+    exponents that survive in some conjugate (d_ke = 0 where conjugate
+    k's term cancels) and read from one cached table of roots of unity,
+    times the real V[e, r] = rho^e.  ``angles`` is an int >= 1.
     Raises ValueError when a conjugate pair agrees in every known term
     (its gap is zero at every radius) and when a gap underflows the
     smallest normal double, naming the first radius where it does.
@@ -177,24 +198,27 @@ def branch_gap_profile(
     radii = np.asarray(radii, dtype=float)
     # the radii first: a root of a negative radius would warn before raising
     _validate_grid(radii)
-    for b in (b1, b2):
-        _validate_t_grid(radii ** (1.0 / b.n))
+    for bn in dict.fromkeys((b1.n, b2.n)):
+        _validate_t_grid(radii ** (1.0 / bn))
     n = math.lcm(b1.n, b2.n)
-    roots = np.exp(2j * math.pi * np.arange(n * angles) / (n * angles))
-    m = np.arange(b1.n * angles)[:, None]
-    rho = radii ** (1.0 / n)
-    gaps = np.full(radii.size, np.inf)
-    for k in range(b2.n):
-        _, terms = difference_series(b1, b2, k)
-        if not terms:
+    rows = [dict(terms) for _, terms in _differences(b1, b2, range(b2.n))]
+    for k, row in enumerate(rows):
+        if not row:
             known = min(Fraction(b1.truncation, b1.n), Fraction(b2.truncation, b2.n))
             raise ValueError(
                 f"zero gap: conjugate {k} of the second branch agrees with the first "
                 f"in every known term, up to order {known} in x"
             )
-        exps = np.array([e for e, _ in terms])
-        u = np.array([d.to_complex() for _, d in terms]) * roots[m * exps % roots.size]
-        gaps = np.minimum(gaps, np.abs(u @ rho ** exps[:, None]).min(axis=0))
+    # one column per exponent that survives in some conjugate; a term
+    # that cancels exactly is an exact 0 in its conjugate's row
+    exps = sorted(set().union(*rows))
+    table = np.array([[row[e].to_complex() if e in row else 0j for e in exps] for row in rows])
+    exps = np.array(exps)
+    roots = _roots(n * angles)
+    m = np.arange(b1.n * angles)[:, None]
+    u = table[:, None, :] * roots[m * exps % roots.size]
+    rho = radii ** (1.0 / n)
+    gaps = np.abs(u @ rho ** exps[:, None]).reshape(-1, radii.size).min(axis=0)
     low = np.flatnonzero(gaps < _GAP_FLOOR)
     if low.size:
         raise ValueError(
@@ -224,13 +248,19 @@ def estimate_branch_contact(
 
     This is the finite-scale proxy for the metric contact; compare the
     slope against the exact value from :func:`curvegerm.contact.contact`.
+    Radii below ``DEFAULT_MIN_RADIUS`` are dropped before the fit.
     """
     if radii is None:
         radii = default_branch_grid(b1, b2)
     radii = np.asarray(radii, dtype=float)
     # non-finite radii stay, so that the profile's grid check rejects them
-    radii = radii[(radii >= DEFAULT_MIN_RADIUS) | ~np.isfinite(radii)]
-    return _fit_loglog(radii, branch_gap_profile(b1, b2, radii, angles))
+    kept = radii[(radii >= DEFAULT_MIN_RADIUS) | ~np.isfinite(radii)]
+    if radii.size and not kept.size:
+        raise ValueError(
+            f"the radius floor {DEFAULT_MIN_RADIUS:g} dropped all {radii.size} radii of the "
+            "grid; a contact estimate needs radii at or above it"
+        )
+    return _fit_loglog(kept, branch_gap_profile(b1, b2, kept, angles))
 
 
 def radial_holder_map(a: ArcSample, exponent: float) -> ArcSample:

@@ -250,6 +250,34 @@ def difference_order(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0) -> Fracti
 _ABSENT = CyclotomicNumber.zero(1)
 
 
+def _differences(b1: PuiseuxBranch, b2: PuiseuxBranch, ks):
+    """b1 minus each conjugate k in ``ks`` of b2, from one walk over the
+    pair's terms.
+
+    The s-exponents of both series (:func:`_aligned`) are walked once.
+    At each one the two coefficients are lifted once into the smallest
+    field that holds both and zeta_n2 (:func:`_lifted`; a missing one
+    counts as 0 in Q(zeta_1)), and one difference is taken per residue
+    k*m mod n2 among ``ks``; conjugates with the same residue share it.
+    Returns one :func:`difference_series` value (n, terms) per k in
+    ``ks``.
+    """
+    n, _, s1, s2 = _aligned(b1, b2)
+    series = [[] for _ in ks]
+    for e in sorted(s1.keys() | s2.keys()):
+        m, c = s2.get(e, (0, _ABSENT))
+        a, c = _lifted(s1.get(e, _ABSENT), c, b2.n)
+        diffs: dict[int, CyclotomicNumber] = {}
+        for k, terms in zip(ks, series):
+            r = k * m % b2.n
+            d = diffs.get(r)
+            if d is None:
+                d = diffs[r] = a - _turned(c, r, b2.n)
+            if not d.is_zero():
+                terms.append((e, d))
+    return [(n, tuple(terms)) for terms in series]
+
+
 def difference_series(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0):
     """b1 minus the k-th conjugate of b2 as an exact series in s, x = s^n.
 
@@ -260,17 +288,9 @@ def difference_series(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0):
     part, whatever the other's truncation; terms whose coefficients
     cancel exactly are dropped, so an empty series means the two agree in
     every known term.  This is the term walk of :func:`difference_order`
-    without its early exit.
+    without its early exit, for one conjugate of :func:`_differences`.
     """
-    n, _, s1, s2 = _aligned(b1, b2)
-    terms = []
-    for e in sorted(s1.keys() | s2.keys()):
-        m, c = s2.get(e, (0, _ABSENT))
-        a, c = _lifted(s1.get(e, _ABSENT), c, b2.n)
-        d = a - _turned(c, k * m % b2.n, b2.n)
-        if not d.is_zero():
-            terms.append((e, d))
-    return n, tuple(terms)
+    return _differences(b1, b2, (k,))[0]
 
 
 @dataclass(frozen=True)

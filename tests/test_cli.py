@@ -310,6 +310,19 @@ def test_exit_code_4_on_out_of_range_grid(tmp_path, capsys):
     assert payload["error_kind"] == "unsupported"
 
 
+def test_exit_code_4_on_a_grid_below_the_radius_floor(tmp_path, capsys):
+    # every radius under 1e-6: the floor drops all of them before the fit
+    a = write(tmp_path, "a.json", AXIS)
+    b = write(tmp_path, "b.json", PARABOLA)
+    code, payload = run_json(capsys, ["estimate", a, b, "--grid", "1e-7,1e-9,16"])
+    assert code == 4
+    assert payload["error_kind"] == "unsupported"
+    assert payload["message"] == (
+        "the radius floor 1e-06 dropped all 16 radii of the grid; "
+        "a contact estimate needs radii at or above it"
+    )
+
+
 @pytest.mark.parametrize("beta", ["nan", "inf"])
 def test_exit_code_4_on_non_finite_beta(tmp_path, capsys, beta):
     a = write(tmp_path, "a.json", AXIS)

@@ -25,7 +25,7 @@ from curvegerm import (
     zeta,
 )
 from curvegerm.metric import DEFAULT_MIN_RADIUS, _fit_loglog
-from curvegerm.puiseux import difference_series
+from curvegerm.puiseux import _differences, difference_series
 
 DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
 DEMO_BRANCHES = [b for path in sorted(DEMO_DATA.glob("*.json")) for b in load_germ(path).branches]
@@ -68,6 +68,16 @@ def test_sample_grid_validation():
         sample_branch_arc(b, 0, 0.0, np.array([0.01, 0.1]))
     with pytest.raises(ValueError, match="0.5"):
         sample_branch_arc(b, 0, 0.0, np.array([0.9, 0.1]))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sample_branch_arc_default_grid(n):
+    # from multiplicity 4, the n-th roots of geometric_grid() start above 0.5
+    b = branch(n, [(n + 1, 1)], truncation=n + 2)
+    arc = sample_branch_arc(b)
+    assert np.allclose(np.abs(arc.points[:, 0]), default_branch_grid(b), rtol=1e-12, atol=0)
+    if n <= 3:
+        assert np.array_equal(default_branch_grid(b), geometric_grid())
 
 
 def norm_gap_oracle(a, b, grid):
@@ -215,6 +225,103 @@ def test_branch_gap_profile_matches_the_power_kernel_on_mixed_multiplicities(gen
     assert len(shapes) == 12
 
 
+# The kernel that branch_gap_profile used before it took one product for
+# all conjugates: one walk of the difference series and one matrix
+# product per conjugate, over that conjugate's own exponents.  Kept here
+# as an oracle that the stacked product must match bit for bit.
+
+
+def _conjugate_kernel(b1, b2, radii, angles, series):
+    """``series`` holds the terms of difference_series(b1, b2, k) for each k."""
+    n = math.lcm(b1.n, b2.n)
+    roots = np.exp(2j * math.pi * np.arange(n * angles) / (n * angles))
+    m = np.arange(b1.n * angles)[:, None]
+    rho = radii ** (1.0 / n)
+    gaps = np.full(radii.size, np.inf)
+    for terms in series:
+        exps = np.array([e for e, _ in terms])
+        u = np.array([d.to_complex() for _, d in terms]) * roots[m * exps % roots.size]
+        gaps = np.minimum(gaps, np.abs(u @ rho ** exps[:, None]).min(axis=0))
+    return gaps
+
+
+def _profiles_match_the_conjugate_kernel(pairs, angles):
+    """Counts of pairs compared bit for bit, of pairs whose gap underflows
+    and of pairs with a zero gap."""
+    compared = underflowed = coincident = 0
+    for b1, b2 in pairs:
+        radii = default_branch_grid(b1, b2)
+        series = [difference_series(b1, b2, k)[1] for k in range(b2.n)]
+        empty = [k for k, terms in enumerate(series) if not terms]
+        if empty:
+            with pytest.raises(ValueError, match=f"zero gap: conjugate {empty[0]} "):
+                branch_gap_profile(b1, b2, radii, angles)
+            coincident += 1
+            continue
+        old = _conjugate_kernel(b1, b2, radii, angles, series)
+        if (old < np.finfo(float).tiny).any():
+            with pytest.raises(ValueError, match="underflows double precision"):
+                branch_gap_profile(b1, b2, radii, angles)
+            underflowed += 1
+            continue
+        assert np.array_equal(branch_gap_profile(b1, b2, radii, angles), old)
+        compared += 1
+    return compared, underflowed, coincident
+
+
+@pytest.mark.parametrize("angles", [1, 3, 64])
+def test_branch_gap_profile_matches_the_conjugate_kernel_on_demo_pairs(angles):
+    pairs = itertools.permutations(DEMO_BRANCHES, 2)
+    assert _profiles_match_the_conjugate_kernel(pairs, angles) == (10 * 9 - 8, 0, 3 * 2 + 2)
+
+
+@pytest.mark.parametrize("angles", [1, 3, 64])
+def test_branch_gap_profile_matches_the_conjugate_kernel_on_generated_germs(
+    generated_germs, angles
+):
+    pairs = [p for _, g, _ in generated_germs for p in itertools.permutations(g.branches, 2)]
+    compared, underflowed, coincident = _profiles_match_the_conjugate_kernel(pairs, angles)
+    # branches of one germ are never conjugate, so no pair has a zero gap
+    assert (compared + underflowed, coincident) == (len(pairs), 0)
+    assert underflowed < compared
+
+
+def test_differences_is_one_walk_for_every_conjugate(generated_germs):
+    cancelled = 0
+    for _, g, _ in generated_germs:
+        for b1, b2 in itertools.permutations(g.branches, 2):
+            walked = _differences(b1, b2, range(b2.n))
+            assert len(walked) == b2.n
+            for k, series in enumerate(walked):
+                assert difference_series(b1, b2, k) == series
+            # conjugates beyond 0..n2-1 reduce mod n2
+            assert _differences(b1, b2, (b2.n + 1, -1)) == [walked[1 % b2.n], walked[-1]]
+            cancelled += len({e for _, t in walked for e, _ in t}) > min(len(t) for _, t in walked)
+    # some conjugate loses a term that survives in another
+    assert cancelled > 0
+
+
+def test_geometric_grid_is_geomspace_bit_for_bit():
+    rng = np.random.default_rng(18)
+    for _ in range(2000):
+        r_max, r_min = sorted(10 ** rng.uniform(-12, 1, 2), reverse=True)
+        count = int(rng.integers(2, 64))
+        grid = geometric_grid(r_max, r_min, count)
+        expected = np.geomspace(r_max, r_min, count)
+        assert grid.dtype == expected.dtype and np.array_equal(grid, expected)
+    # neighbouring doubles, int bounds and a numpy count
+    tight = np.nextafter(0.25, 0)
+    assert np.array_equal(geometric_grid(0.25, tight, 5), np.geomspace(0.25, tight, 5))
+    assert np.array_equal(geometric_grid(1, 1e-3, 7), np.geomspace(1, 1e-3, 7))
+    assert np.array_equal(geometric_grid(0.1, 1e-4, np.int64(16)), geometric_grid())
+
+
+@pytest.mark.parametrize("count", [16.0, "16"])
+def test_geometric_grid_needs_an_int_count(count):
+    with pytest.raises(TypeError):
+        geometric_grid(0.1, 1e-4, count)
+
+
 def test_closed_form_fit_matches_polyfit():
     rng = np.random.default_rng(14)
     for _ in range(200):
@@ -315,6 +422,19 @@ def test_high_contact_is_resolved(h):
     est = estimate_branch_contact(parabola, other)
     assert abs(est.slope - h) < 0.1
     assert est.r_squared >= 0.99
+
+
+def test_radius_floor_names_the_radii_it_drops():
+    parabola = branch(1, [(2, 1)], truncation=8)
+    with pytest.raises(ValueError, match="the radius floor 1e-06 dropped all 16 radii"):
+        estimate_branch_contact(axis(), parabola, geometric_grid(1e-7, 1e-9, 16))
+    # a grid that was empty to begin with is still an empty grid
+    with pytest.raises(ValueError, match="empty grid"):
+        estimate_branch_contact(axis(), parabola, [])
+    # radii the floor keeps are fitted, with the window they span
+    est = estimate_branch_contact(axis(), parabola, geometric_grid(1e-1, 1e-9, 25))
+    assert est.window == (pytest.approx(DEFAULT_MIN_RADIUS), 1e-1)
+    assert abs(est.slope - 2) < 0.1
 
 
 def test_zero_gap_names_the_conjugate():
