@@ -350,10 +350,8 @@ def _answer(args) -> int:
     """Run the command and print its report or its error; the exit code."""
     try:
         payload = args.handler(args)
-    except GermValidationError as exc:
-        _emit_error("validation", str(exc), args.json)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (GermValidationError, OSError) as exc:
+        # unreadable or invalid input; above ValueError, as a GermValidationError is one
         _emit_error("validation", str(exc), args.json)
         return EXIT_VALIDATION
     except TruncationExceeded as exc:

@@ -120,17 +120,6 @@ class ContactReport:
         }
 
 
-def _contacts(g: CurveGerm, den: int) -> list:
-    """The contact matrix as lists of int numerators over den, a multiple
-    of every multiplicity of the germ: the max of each stored sweep,
-    rescaled."""
-    r = len(g.branches)
-    cont: list[list[int | None]] = [[None] * r for _ in range(r)]
-    for (i, j), (n, orders) in g._sweeps.items():
-        cont[i][j] = cont[j][i] = max(orders) * (den // n)
-    return cont
-
-
 def contact_report(g: CurveGerm) -> ContactReport:
     """Fill both pairwise matrices for all distinct branch pairs of the germ.
 

@@ -20,13 +20,13 @@ keeps every beta and every contact exactly when it is an isomorphism of
 these labelled trees.  By Zariski and Burau, characteristic data plus
 pairwise contacts is the complete topological invariant of a germ, so
 the tree is a property of each germ alone.  Each germ keeps, built once
-on first use, a summary that no partner changes: its branches' betas
-and marks, its contact matrix, and its contact tree, built in O(r**2)
-with a canonical key, a nested tuple in the manner of Aho, Hopcroft and
-Ullman (see :func:`holder_key`); the groups of its betas and of its
-contacts join it the first time a distinct verdict reads them.  Two
-germs are equivalent exactly when their keys are equal; the bijection
-returned is then the one a search over all r! bijections finds first in
+on first use, a summary that no partner changes: its branches' marks,
+its contact matrix, and its contact tree, built in O(r**2) with a
+canonical key, a nested tuple in the manner of Aho, Hopcroft and Ullman
+(see :func:`holder_key`); the groups of its marks and of its contacts
+join it the first time a distinct verdict reads them.  Two germs are
+equivalent exactly when their keys are equal; the bijection returned is
+then the one a search over all r! bijections finds first in
 lexicographic order, read off the two trees once their nodes are
 interned as shared ints.
 
@@ -60,7 +60,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from curvegerm.contact import _contacts
 from curvegerm.invariants import CharacteristicData, characteristic_data
 from curvegerm.puiseux import ConsistencyError, CurveGerm
 
@@ -451,32 +450,32 @@ def _groups(items):
 class _Summary:
     """What the classifier reads of one germ, whatever it is compared with.
 
-    ``betas`` and ``marks`` (:func:`_marks`) are per branch, ``den`` is
-    the lcm of the multiplicities and ``contact`` the contact matrix,
-    row after row in one flat tuple, as int numerators over ``den``.
-    ``key``, ``labels``, ``parents`` and ``leaves`` are the contact tree
-    from :func:`_contact_tree`.  ``beta_groups`` and ``contact_groups``,
-    the :func:`_groups` of the betas by branch and of the contacts by
-    branch pair, are read only for distinct germs, so they are built on
-    first use.  A germ keeps its summary as long as it lives, so the
-    summary is kept in tuples, most of them of ints, which Python's
-    cyclic garbage collector stops tracking.  It is a plain class
-    because making a dataclass costs about 0.6 ms at every import.
+    ``marks`` (:func:`_marks`, equal exactly when betas are) are per
+    branch, ``den`` is the lcm of the multiplicities and ``contact`` the
+    contact matrix, row tuples of int numerators over ``den``, None on
+    the diagonal.  ``key``, ``labels``, ``parents`` and ``leaves`` are
+    the contact tree from :func:`_contact_tree`.  ``mark_groups`` and
+    ``contact_groups``, the :func:`_groups` of the marks by branch and of
+    the contacts by branch pair, are read only for distinct germs, so
+    they are built on first use.  A germ keeps its summary as long as it
+    lives, so the summary is kept in tuples, most of them of ints, which
+    Python's cyclic garbage collector stops tracking.  It is a plain
+    class because making a dataclass costs about 0.6 ms at every import.
     """
 
-    def __init__(self, betas, marks, den, contact, key, labels, parents, leaves):
-        self.betas, self.marks, self.den, self.contact = betas, marks, den, contact
+    def __init__(self, marks, den, contact, key, labels, parents, leaves):
+        self.marks, self.den, self.contact = marks, den, contact
         self.key, self.labels, self.parents, self.leaves = key, labels, parents, leaves
 
     @cached_property
-    def beta_groups(self) -> dict:
-        return _groups(((u,), beta) for u, beta in enumerate(self.betas))
+    def mark_groups(self) -> dict:
+        return _groups(((u,), marks) for u, marks in enumerate(self.marks))
 
     @cached_property
     def contact_groups(self) -> dict:
-        r, c = len(self.betas), self.contact
-        pairs = itertools.combinations(range(r), 2)
-        return _groups(((i, j), c[i * r + j]) for i, j in pairs)
+        c = self.contact
+        pairs = itertools.combinations(range(len(c)), 2)
+        return _groups(((i, j), c[i][j]) for i, j in pairs)
 
 
 def _summary(g: CurveGerm) -> _Summary:
@@ -484,12 +483,13 @@ def _summary(g: CurveGerm) -> _Summary:
     summary = g._holder
     if summary is None:
         data = [characteristic_data(b) for b in g.branches]
-        betas = tuple(d.beta for d in data)
-        den = math.lcm(*(b.n for b in g.branches))
-        matrix = _contacts(g, den)
-        tree = _contact_tree(matrix, den, betas)
-        contact = tuple(itertools.chain.from_iterable(matrix))
-        summary = _Summary(betas, tuple([_marks(d.pairs) for d in data]), den, contact, *tree)
+        r, den = len(data), math.lcm(*(b.n for b in g.branches))
+        rows: list[list[int | None]] = [[None] * r for _ in range(r)]
+        for (i, j), (n, orders) in g._sweeps.items():
+            rows[i][j] = rows[j][i] = max(orders) * (den // n)
+        contact = tuple([tuple(row) for row in rows])
+        tree = _contact_tree(contact, den, [d.beta for d in data])
+        summary = _Summary(tuple([_marks(d.pairs) for d in data]), den, contact, *tree)
         object.__setattr__(g, "_holder", summary)
     return summary
 
@@ -534,8 +534,9 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
     distinct pair (contact in the first germ, contact in the second).
     Each names the lexicographically first branches, or branch pairs,
     that realise it and counts all that do; each germ's summary groups
-    its betas and contacts once.  The list is in the order of those
-    first realisations.
+    its branches by marks and its branch pairs by contact once, and one
+    loop scans both kinds.  The list is in the order of those first
+    realisations.
     """
     r1, r2 = len(germ1.branches), len(germ2.branches)
     if r1 != r2:
@@ -554,44 +555,49 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
     obstructions = [
         Obstruction(KIND_BASELINE, BASELINE, "always present; keeps the set non-empty")
     ]
+    # a source is (value, branches, count, witness fragment), one per group;
+    # each germ's contacts over its own denominator are put over den1 * den2
+    scans = (
+        (
+            KIND_CHAR_EXPONENTS,
+            _branch_ratio,
+            [
+                (m, u, n, f"branch {u[0]} of the first germ")
+                for m, (u, n) in s1.mark_groups.items()
+            ],
+            [(m, u, n, f"branch {u[0]} of the second") for m, (u, n) in s2.mark_groups.items()],
+        ),
+        (
+            KIND_CONTACT,
+            _contact_ratio,
+            [
+                (c * s2.den, p, n, f"contact of branches ({p[0]},{p[1]}) in the first germ")
+                for c, (p, n) in s1.contact_groups.items()
+            ],
+            [
+                (c * s1.den, p, n, f"({p[0]},{p[1]}) in the second")
+                for c, (p, n) in s2.contact_groups.items()
+            ],
+        ),
+    )
     # k0 as an int pair, raised by cross-multiplication; one Fraction per
     # distinct (num, den) pair, as many obstructions share a value
     top, bottom = BASELINE.numerator, BASELINE.denominator
     values: dict[tuple[int, int], Fraction] = {}
-    for first, n1 in s1.beta_groups.values():
-        for second, n2 in s2.beta_groups.values():
-            ratio = _branch_ratio(s1.marks[first[0]], s2.marks[second[0]])
-            if ratio is not None:
-                num, den = ratio
-                if num * bottom > top * den:
-                    top, bottom = num, den
-                value = values.get(ratio)
-                if value is None:
-                    value = values[ratio] = Fraction(num, den)
-                witness = f"branch {first[0]} of the first germ vs branch {second[0]} of the second"
-                obstructions.append(
-                    Obstruction(KIND_CHAR_EXPONENTS, value, witness, first, second, n1 * n2)
-                )
-    # each germ's contacts over its own denominator, put over den1 * den2
-    contacts2 = [(cont2 * s1.den, group) for cont2, group in s2.contact_groups.items()]
-    for cont1, (first, n1) in s1.contact_groups.items():
-        cont1 *= s2.den
-        for cont2, (second, n2) in contacts2:
-            ratio = _contact_ratio(cont1, cont2)
-            if ratio is not None:
-                num, den = ratio
-                if num * bottom > top * den:
-                    top, bottom = num, den
-                value = values.get(ratio)
-                if value is None:
-                    value = values[ratio] = Fraction(num, den)
-                witness = (
-                    f"contact of branches ({first[0]},{first[1]}) in the first "
-                    f"germ vs ({second[0]},{second[1]}) in the second"
-                )
-                obstructions.append(
-                    Obstruction(KIND_CONTACT, value, witness, first, second, n1 * n2)
-                )
+    for kind, ratio_of, sources1, sources2 in scans:
+        for value1, first, n1, w1 in sources1:
+            for value2, second, n2, w2 in sources2:
+                ratio = ratio_of(value1, value2)
+                if ratio is not None:
+                    num, den = ratio
+                    if num * bottom > top * den:
+                        top, bottom = num, den
+                    value = values.get(ratio)
+                    if value is None:
+                        value = values[ratio] = Fraction(num, den)
+                    obstructions.append(
+                        Obstruction(kind, value, f"{w1} vs {w2}", first, second, n1 * n2)
+                    )
     return HolderVerdict(
         STATUS_DISTINCT, k0=Fraction(top, bottom), obstructions=tuple(obstructions)
     )

@@ -260,6 +260,12 @@ def estimate_branch_contact(
             f"the radius floor {DEFAULT_MIN_RADIUS:g} dropped all {radii.size} radii of the "
             "grid; a contact estimate needs radii at or above it"
         )
+    if kept.size < radii.size and kept.size < _FIT_POINTS:
+        raise ValueError(
+            f"the radius floor {DEFAULT_MIN_RADIUS:g} dropped {radii.size - kept.size} of the "
+            f"{radii.size} radii of the grid and kept {kept.size}; a contact estimate needs "
+            f"at least {_FIT_POINTS} radii at or above it"
+        )
     return _fit_loglog(kept, branch_gap_profile(b1, b2, kept, angles))
 
 

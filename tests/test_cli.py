@@ -323,6 +323,19 @@ def test_exit_code_4_on_a_grid_below_the_radius_floor(tmp_path, capsys):
     )
 
 
+def test_exit_code_4_when_the_radius_floor_leaves_too_few_radii(tmp_path, capsys):
+    # 12 of the 16 radii lie under 1e-6, and 4 are too few to fit
+    a = write(tmp_path, "a.json", AXIS)
+    b = write(tmp_path, "b.json", PARABOLA)
+    code, payload = run_json(capsys, ["estimate", a, b, "--grid", "1e-5,1e-9,16"])
+    assert code == 4
+    assert payload["error_kind"] == "unsupported"
+    assert payload["message"] == (
+        "the radius floor 1e-06 dropped 12 of the 16 radii of the grid and kept 4; "
+        "a contact estimate needs at least 8 radii at or above it"
+    )
+
+
 @pytest.mark.parametrize("beta", ["nan", "inf"])
 def test_exit_code_4_on_non_finite_beta(tmp_path, capsys, beta):
     a = write(tmp_path, "a.json", AXIS)

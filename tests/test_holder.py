@@ -25,7 +25,7 @@ from curvegerm import (
     load_germ,
     pair_obstruction,
 )
-from curvegerm.holder import FORMAL_SMOOTH_PAIR, _contact_tree, _paths
+from curvegerm.holder import FORMAL_SMOOTH_PAIR, _contact_tree, _paths, _summary
 from curvegerm.puiseux import ConsistencyError
 
 DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -487,6 +487,27 @@ def test_classify_matches_the_fraction_scan(generated_germs):
         assert verdict == fraction_classify(g1, g2)
         kinds.update(o.kind for o in verdict.obstructions)
     assert kinds["char_exponents"] > 0 and kinds["contact"] > 0
+
+
+def test_summary_derives_the_contacts_and_the_beta_groups(generated_germs):
+    demos = [load_germ(path) for path in sorted(DEMO_DATA.glob("*.json"))]
+    shared = 0
+    for g in [g for _, g, _ in generated_germs] + demos:
+        summary, contact = _summary(g), contact_report(g).contact
+        for i, j in itertools.product(range(len(g.branches)), repeat=2):
+            if i == j:
+                assert summary.contact[i][j] is None
+            else:
+                assert summary.contact[i][j] == contact[i][j] * summary.den
+        # marks group the branches as betas do: the same groups, in the
+        # same order, each with the same first branch and count
+        by_beta: dict = {}
+        for u, beta in enumerate(characteristic_data(b).beta for b in g.branches):
+            first, count = by_beta.get(beta, (u, 0))
+            by_beta[beta] = (first, count + 1)
+        assert list(summary.mark_groups.values()) == [((u,), n) for u, n in by_beta.values()]
+        shared += any(n > 1 for _, n in by_beta.values())
+    assert shared > 10
 
 
 def test_public_obstructions_match_the_fraction_scan(generated_germs):

@@ -428,6 +428,13 @@ def test_radius_floor_names_the_radii_it_drops():
     parabola = branch(1, [(2, 1)], truncation=8)
     with pytest.raises(ValueError, match="the radius floor 1e-06 dropped all 16 radii"):
         estimate_branch_contact(axis(), parabola, geometric_grid(1e-7, 1e-9, 16))
+    # a floor that leaves too few radii of a longer grid names both counts
+    with pytest.raises(
+        ValueError,
+        match=r"the radius floor 1e-06 dropped 12 of the 16 radii of the grid and kept 4; "
+        r"a contact estimate needs at least 8 radii at or above it",
+    ):
+        estimate_branch_contact(axis(), parabola, geometric_grid(1e-5, 1e-9, 16))
     # a grid that was empty to begin with is still an empty grid
     with pytest.raises(ValueError, match="empty grid"):
         estimate_branch_contact(axis(), parabola, [])
