@@ -278,6 +278,9 @@ class CyclotomicNumber:
         )
 
     def __hash__(self):
+        # a rational element equals its int or Fraction, so it hashes as one
+        if self.is_rational():
+            return hash(Fraction(self.nums[0], self.den))
         return hash((self.order, self.den, self.nums))
 
     def to_complex(self) -> complex:

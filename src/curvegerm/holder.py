@@ -23,12 +23,12 @@ the tree is a property of each germ alone.  Each germ keeps, built once
 on first use, a summary that no partner changes: its branches' marks,
 its contact matrix, and its contact tree, built in O(r**2) with a
 canonical key, a nested tuple in the manner of Aho, Hopcroft and Ullman
-(see :func:`holder_key`); the groups of its marks and of its contacts
-join it the first time a distinct verdict reads them.  Two germs are
-equivalent exactly when their keys are equal; the bijection returned is
-then the one a search over all r! bijections finds first in
-lexicographic order, read off the two trees once their nodes are
-interned as shared ints.
+(see :func:`holder_key`) and the same kind of key on every node; the
+groups of its marks and of its contacts join it the first time a
+distinct verdict reads them.  Two germs are equivalent exactly when
+their keys are equal; the bijection returned is then the one a search
+over all r! bijections finds first in lexicographic order, read off the
+two trees by climbing from leaf pairs through nodes of equal keys.
 
 An obstruction's value depends only on its source values (the two betas,
 or the two contacts), so the classifier lists one obstruction per
@@ -282,17 +282,18 @@ class HolderVerdict:
 
 
 def _contact_tree(c, den: int, betas):
-    """A germ's contact tree and its canonical key, from O(r**2) entries.
+    """A germ's contact tree, with a key per node, from O(r**2) entries.
 
     ``c`` is the contact matrix, off the diagonal, as int numerators over
-    ``den``.  Returns ``(key, labels, parents, leaves)``, three flat
-    tuples beside the key.  Node k has label ``labels[k]`` and parent
-    ``parents[k]`` (-1 for the root), and comes after its parent; a leaf
-    is labelled by its branch's beta, an inner node by its contact level
-    as the int pair (numerator, denominator) in lowest terms.
-    ``leaves[i]`` is the leaf of branch i.  ``key`` is the root's
-    canonical form: a leaf is its beta, an inner node is (level, sorted
-    betas of its leaf children, sorted keys of its inner children).
+    ``den``.  Returns ``(keys, parents, leaves)``, three flat tuples.
+    Node k has key ``keys[k]`` and parent ``parents[k]`` (-1 for the
+    root), and comes after its parent; ``leaves[i]`` is the leaf of
+    branch i.  A leaf's key is its branch's beta; an inner node's key is
+    (its contact level as the int pair (numerator, denominator) in
+    lowest terms, the sorted betas of its leaf children, the sorted keys
+    of its inner children).  Two nodes have equal keys exactly when
+    their subtrees are isomorphic, and ``keys[0]`` is the germ's
+    :func:`holder_key`.
 
     A cluster's level is the least contact from one pivot, which in an
     ultrametric is the least contact in the cluster, and its classes are
@@ -303,20 +304,21 @@ def _contact_tree(c, den: int, betas):
     tree.  Raises RuntimeError on a matrix that is not an ultrametric,
     which exact contacts never are.
     """
-    labels: list = []
+    # an inner node holds its level until its key is built, bottom-up
+    keys: list = []
     parents: list[int] = []
     children: list[list[int]] = []
     leaves = [0] * len(betas)
     todo = [(list(range(len(betas))), -1)]
     while todo:
         members, parent = todo.pop()
-        node = len(labels)
+        node = len(keys)
         parents.append(parent)
         if parent >= 0:
             children[parent].append(node)
         if len(members) == 1:
             # the root of a germ of one branch
-            labels.append(betas[members[0]])
+            keys.append(betas[members[0]])
             children.append([])
             leaves[members[0]] = node
             continue
@@ -341,7 +343,7 @@ def _contact_tree(c, den: int, betas):
                                 f"({min(i, j)}, {max(i, j)}): internal bug"
                             )
         g = math.gcd(level, den)
-        labels.append((level // g, den // g))
+        keys.append((level // g, den // g))
         kids: list[int] = []
         children.append(kids)
         # a class of one branch is a leaf, made here
@@ -349,13 +351,12 @@ def _contact_tree(c, den: int, betas):
             if len(cls) > 1:
                 todo.append((cls, node))
             else:
-                kids.append(len(labels))
-                leaves[cls[0]] = len(labels)
-                labels.append(betas[cls[0]])
+                kids.append(len(keys))
+                leaves[cls[0]] = len(keys)
+                keys.append(betas[cls[0]])
                 parents.append(node)
                 children.append([])
-    keys: list = labels[:]
-    for node in range(len(labels) - 1, -1, -1):
+    for node in range(len(keys) - 1, -1, -1):
         kids = children[node]
         if kids:
             leaf_keys, inner_keys = [], []
@@ -363,71 +364,42 @@ def _contact_tree(c, den: int, betas):
                 (inner_keys if children[k] else leaf_keys).append(keys[k])
             leaf_keys.sort()
             inner_keys.sort()
-            keys[node] = (labels[node], tuple(leaf_keys), tuple(inner_keys))
-    return keys[0], tuple(labels), tuple(parents), tuple(leaves)
-
-
-def _codes(labels, parents, codes: dict) -> list[int]:
-    """Intern every node of a contact tree as a small int, children
-    before parents, in ``codes``, a dict shared by the trees compared.
-
-    A leaf is interned by its beta and an inner node by its level and
-    its children's sorted codes, so equal codes mean equal subtrees, and
-    each node costs one lookup: comparing two nodes is O(1).
-    """
-    code = [0] * len(labels)
-    kids: list[list[int]] = [[] for _ in labels]
-    for node in range(len(labels) - 1, -1, -1):
-        label = labels[node]
-        if kids[node]:
-            label = (label, tuple(sorted(kids[node])))
-        code[node] = codes.setdefault(label, len(codes))
-        if node:
-            kids[parents[node]].append(code[node])
-    return code
-
-
-def _paths(parents, leaves) -> list[list[int]]:
-    """Each branch's nodes from the root down to its leaf."""
-    paths = []
-    for node in leaves:
-        path = []
-        while node >= 0:
-            path.append(node)
-            node = parents[node]
-        path.reverse()
-        paths.append(path)
-    return paths
+            keys[node] = (keys[node], tuple(leaf_keys), tuple(inner_keys))
+    return tuple(keys), tuple(parents), tuple(leaves)
 
 
 def _first_matching(tree1, tree2) -> tuple[int, ...]:
     """Lexicographically first isomorphism of two contact trees with equal
-    root codes, read off leaf by leaf.
+    root keys, read off leaf by leaf.
 
-    Each tree is ``(code, paths)`` with codes from one :func:`_codes`
-    table.  Branch i goes to the smallest unused j whose root path runs
-    through nodes of the same codes as i's, each node pair already
-    matched to each other or both still free.  Such a partial matching
-    always extends to a full one, since matched nodes have equal codes
-    and so equal multisets of child codes.
+    Each tree is ``(keys, parents, leaves)`` from :func:`_contact_tree`.
+    Branch i goes to the smallest free j whose leaf climbs in step with
+    i's leaf through free nodes of equal keys until both reach a pair
+    already matched to each other or both pass the root; the pairs
+    climbed are then matched.  The matched pairs are closed under taking
+    parents, so nothing above the first matched pair needs a look, and
+    a partial matching of this kind always extends to a full one, since
+    matched nodes have equal keys and so equal multisets of child keys.
     """
-    (code1, paths1), (code2, paths2) = tree1, tree2
-    match1: dict[int, int] = {}
-    match2: dict[int, int] = {}
+    (keys1, parents1, leaves1), (keys2, parents2, leaves2) = tree1, tree2
+    # slot -1, above both roots, is matched to itself: the climb stops there
+    match1: list = [None] * len(keys1) + [-1]
+    match2: list = [None] * len(keys2) + [-1]
     sigma: list[int] = []
-    free = list(range(len(paths2)))
-    for path1 in paths1:
+    free = list(range(len(leaves2)))
+    for leaf in leaves1:
         for j in free:
-            path2 = paths2[j]
-            if len(path1) == len(path2) and all(
-                code1[a] == code2[b] and match1.get(a, b) == b and match2.get(b, a) == a
-                for a, b in zip(path1, path2)
-            ):
+            a, b = leaf, leaves2[j]
+            while match1[a] is None and match2[b] is None and keys1[a] == keys2[b]:
+                a, b = parents1[a], parents2[b]
+            if match1[a] == b:
                 break
         else:
-            raise RuntimeError("contact trees with equal codes failed to match: internal bug")
-        for a, b in zip(path1, path2):
+            raise RuntimeError("contact trees with equal keys failed to match: internal bug")
+        a, b = leaf, leaves2[j]
+        while match1[a] is None:
             match1[a], match2[b] = b, a
+            a, b = parents1[a], parents2[b]
         free.remove(j)
         sigma.append(j)
     return tuple(sigma)
@@ -453,8 +425,8 @@ class _Summary:
     ``marks`` (:func:`_marks`, equal exactly when betas are) are per
     branch, ``den`` is the lcm of the multiplicities and ``contact`` the
     contact matrix, row tuples of int numerators over ``den``, None on
-    the diagonal.  ``key``, ``labels``, ``parents`` and ``leaves`` are
-    the contact tree from :func:`_contact_tree`.  ``mark_groups`` and
+    the diagonal.  ``tree`` is the contact tree from
+    :func:`_contact_tree` and ``key`` its root's key.  ``mark_groups`` and
     ``contact_groups``, the :func:`_groups` of the marks by branch and of
     the contacts by branch pair, are read only for distinct germs, so
     they are built on first use.  A germ keeps its summary as long as it
@@ -463,9 +435,9 @@ class _Summary:
     class because making a dataclass costs about 0.6 ms at every import.
     """
 
-    def __init__(self, marks, den, contact, key, labels, parents, leaves):
+    def __init__(self, marks, den, contact, tree):
         self.marks, self.den, self.contact = marks, den, contact
-        self.key, self.labels, self.parents, self.leaves = key, labels, parents, leaves
+        self.tree, self.key = tree, tree[0][0]
 
     @cached_property
     def mark_groups(self) -> dict:
@@ -489,7 +461,7 @@ def _summary(g: CurveGerm) -> _Summary:
             rows[i][j] = rows[j][i] = max(orders) * (den // n)
         contact = tuple([tuple(row) for row in rows])
         tree = _contact_tree(contact, den, [d.beta for d in data])
-        summary = _Summary(tuple([_marks(d.pairs) for d in data]), den, contact, *tree)
+        summary = _Summary(tuple([_marks(d.pairs) for d in data]), den, contact, tree)
         object.__setattr__(g, "_holder", summary)
     return summary
 
@@ -546,11 +518,7 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
 
     s1, s2 = _summary(germ1), _summary(germ2)
     if s1.key == s2.key:
-        codes: dict = {}
-        trees = [
-            (_codes(s.labels, s.parents, codes), _paths(s.parents, s.leaves)) for s in (s1, s2)
-        ]
-        return HolderVerdict(STATUS_EQUIVALENT, matching=_first_matching(*trees))
+        return HolderVerdict(STATUS_EQUIVALENT, matching=_first_matching(s1.tree, s2.tree))
 
     obstructions = [
         Obstruction(KIND_BASELINE, BASELINE, "always present; keeps the set non-empty")

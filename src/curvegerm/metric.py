@@ -39,7 +39,7 @@ DEFAULT_ANGLES = 64
 #: Fewest radii a contact estimate fits a slope through.
 _FIT_POINTS = 8
 
-#: Smallest normal double; a gap below it has underflowed.
+#: Smallest normal double; a gap below it has underflowed or cancelled.
 _GAP_FLOOR = float(np.finfo(float).tiny)
 
 
@@ -141,11 +141,23 @@ class ContactEstimate:
         return {"slope": self.slope, "r_squared": self.r_squared, "window": list(self.window)}
 
 
+def _check_gaps(radii: np.ndarray, gaps: np.ndarray):
+    """Raise ValueError naming the first radius whose gap is below the
+    smallest normal double: there the gap has underflowed, or cancelled
+    to nothing in the sampled values."""
+    low = np.flatnonzero(gaps < _GAP_FLOOR)
+    if low.size:
+        raise ValueError(
+            f"the gap at r = {radii[low[0]]:.6g} underflows double precision: it is "
+            f"{gaps[low[0]]:.6g}, below the floor {_GAP_FLOOR:.6g}; the two agree too "
+            "closely to resolve at this radius, so use larger radii"
+        )
+
+
 def _fit_loglog(radii: np.ndarray, gaps: np.ndarray) -> ContactEstimate:
     if radii.size < _FIT_POINTS:
         raise ValueError(f"need at least {_FIT_POINTS} grid points for a contact estimate")
-    if (gaps <= 0).any():
-        raise ValueError("zero gap encountered: the sampled sets overlap")
+    _check_gaps(radii, gaps)
     x, y = np.log(radii), np.log(gaps)
     if x.max() - x.min() == 0:
         raise ValueError("degenerate regression: all radii are equal")
@@ -162,6 +174,7 @@ def estimate_contact(a: ArcSample, b: ArcSample, grid) -> ContactEstimate:
     """Estimate the contact of two sampled arcs over the radius grid they share.
 
     ``grid`` must be strictly decreasing and positive, one radius per point.
+    A gap lost to double precision raises ValueError naming its radius.
     """
     grid = np.asarray(grid, dtype=float)
     _validate_grid(grid)
@@ -219,13 +232,7 @@ def branch_gap_profile(
     u = table[:, None, :] * roots[m * exps % roots.size]
     rho = radii ** (1.0 / n)
     gaps = np.abs(u @ rho ** exps[:, None]).reshape(-1, radii.size).min(axis=0)
-    low = np.flatnonzero(gaps < _GAP_FLOOR)
-    if low.size:
-        raise ValueError(
-            f"the gap at r = {radii[low[0]]:.6g} underflows double precision: it is "
-            f"{gaps[low[0]]:.6g}, below the floor {_GAP_FLOOR:.6g}; the branches agree "
-            "too closely to resolve at this radius, so use larger radii"
-        )
+    _check_gaps(radii, gaps)
     return gaps
 
 

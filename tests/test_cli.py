@@ -568,3 +568,43 @@ def test_a_reader_that_quits_early_gets_no_traceback(tmp_path, lines_read):
         stderr = child.stderr.read()
     assert child.returncode == cli.EXIT_BROKEN_PIPE == 1
     assert stderr == b""
+
+
+@pytest.mark.parametrize("beta", ["1.25", "2"])
+def test_check_prop1_names_the_radius_where_the_gap_is_lost(tmp_path, capsys, beta):
+    # x^9 at r = 0.00464 is below half an ulp of y = x^2, so the sampled
+    # y-values agree there, before the map is applied
+    a = write(tmp_path, "a.json", PARABOLA)
+    close = json.loads(json.dumps(PARABOLA))
+    close["branches"][0]["terms"].append({"exp": 9, "coeff": {"rational": "1"}})
+    b = write(tmp_path, "b.json", close)
+    code, payload = run_json(capsys, ["check-prop1", a, b, "--beta", beta])
+    assert code == 4
+    assert payload["error_kind"] == "unsupported"
+    assert payload["message"].startswith(
+        "the gap at r = 0.00464159 underflows double precision: it is 0, below the floor"
+    )
+    assert "overlap" not in payload["message"]
+
+
+def test_proof_arcs_names_the_radius_where_the_gap_is_lost(tmp_path, capsys):
+    # y = t^2 + t^15: the twist flips t^15, below half an ulp of t^2 at s = 0.05
+    doc = {
+        "branches": [
+            {
+                "n": 2,
+                "truncation": 17,
+                "terms": [
+                    {"exp": 2, "coeff": {"rational": "1"}},
+                    {"exp": 15, "coeff": {"rational": "1"}},
+                ],
+            }
+        ]
+    }
+    code, payload = run_json(capsys, ["proof-arcs", write(tmp_path, "g.json", doc)])
+    assert code == 4
+    assert payload["error_kind"] == "unsupported"
+    assert payload["message"].startswith(
+        "the gap at r = 0.00251189 underflows double precision: it is 0, below the floor"
+    )
+    assert "overlap" not in payload["message"]

@@ -97,6 +97,27 @@ def test_embedded_roots():
     assert abs(minus_one.to_complex() + 1) < 1e-12
 
 
+@pytest.mark.parametrize("order", [1, 2, 4, 6, 12, 210])
+def test_rational_elements_hash_as_the_rationals_they_equal(order):
+    values = [0, 1, -1, 7, Fraction(1, 2), Fraction(-3, 4), Fraction(10, 3)]
+    for value in values:
+        x = CyclotomicNumber.from_rational(order, value)
+        assert x == value and hash(x) == hash(value)
+        assert x in {value} and value in {x}
+        assert {value: "found"}[x] == "found" and {x: "found"}[value] == "found"
+    # rationals reached through roots of unity and sums; zeta(4)**2 is -1
+    minus_one = zeta(order) ** (order // 2) if order % 2 == 0 else -CyclotomicNumber.one(order)
+    assert minus_one == -1 and minus_one in {-1} and {-1: 1}[minus_one] == 1
+    half = (zeta(order) + 1 - zeta(order)) * Fraction(1, 2)
+    assert hash(half) == hash(Fraction(1, 2)) and {Fraction(1, 2): 1}[half] == 1
+    total = sum((zeta(order, k) for k in range(order)), CyclotomicNumber.zero(order))
+    assert total == (1 if order == 1 else 0) and hash(total) == hash(1 if order == 1 else 0)
+    # an element off the rationals keeps hashing by its coordinates
+    if order > 2:
+        z = zeta(order)
+        assert z not in set(values) and hash(z) == hash((order, 1, z.nums))
+
+
 def test_power_wraps_modulo_order():
     assert zeta(6, 7) == zeta(6, 1)
     assert zeta(6, -1) == zeta(6, 5)

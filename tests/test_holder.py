@@ -25,7 +25,7 @@ from curvegerm import (
     load_germ,
     pair_obstruction,
 )
-from curvegerm.holder import FORMAL_SMOOTH_PAIR, _contact_tree, _paths, _summary
+from curvegerm.holder import FORMAL_SMOOTH_PAIR, _contact_tree, _summary
 from curvegerm.puiseux import ConsistencyError
 
 DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -315,29 +315,33 @@ def test_contact_tree_reads_at_most_four_r_squared_entries(make, depth):
     r = 300
     matrix = make(r)
     CountingRow.reads = 0
-    key, labels, parents, leaves = _contact_tree(
-        [CountingRow(row) for row in matrix], 1, [(1,)] * r
-    )
+    keys, parents, leaves = _contact_tree([CountingRow(row) for row in matrix], 1, [(1,)] * r)
     assert CountingRow.reads <= 4 * r * r
-    assert len(labels) == len(parents) == 2 * r - 1
-    paths = _paths(parents, leaves)
+    assert len(keys) == len(parents) == 2 * r - 1
+    paths = []
+    for node in leaves:
+        path = []
+        while node >= 0:
+            path.append(node)
+            node = parents[node]
+        paths.append(path[::-1])
     assert max(len(path) for path in paths) == depth
     for i, j in itertools.combinations(range(0, r, 7), 2):
         # the deepest common node of two root paths is labelled by their contact
         common = [a for a, b in zip(paths[i], paths[j]) if a == b]
-        assert labels[common[-1]] == (matrix[i][j], 1)
+        assert keys[common[-1]][0] == (matrix[i][j], 1)
 
 
 def test_key_is_the_canonical_tree():
     chain = caterpillar(4)
-    key = _contact_tree(chain, 2, [(1,), (2, 3), (1,), (2, 5)])[0]
+    key = _contact_tree(chain, 2, [(1,), (2, 3), (1,), (2, 5)])[0][0]
     inner = ((3, 2), ((1,), (2, 5)), ())
     assert key == ((1, 2), ((1,),), (((1, 1), ((2, 3),), (inner,)),))
     # contacts over another denominator and the branches listed in another
     # order give the same key
     order = [3, 1, 0, 2]
     scaled = [[None if chain[a][b] is None else 3 * chain[a][b] for b in order] for a in order]
-    again = _contact_tree(scaled, 6, [(2, 5), (2, 3), (1,), (1,)])[0]
+    again = _contact_tree(scaled, 6, [(2, 5), (2, 3), (1,), (1,)])[0][0]
     assert again == key
 
 

@@ -550,7 +550,7 @@ def test_estimate_contact_validations():
 
     grid16 = geometric_grid(1e-1, 1e-4, 16)
     a16 = sample_branch_arc(axis(), 0, 0.0, grid16)
-    with pytest.raises(ValueError, match="overlap"):
+    with pytest.raises(ValueError, match="underflows double precision"):
         estimate_contact(a16, a16, grid16)
 
 
@@ -644,3 +644,44 @@ def test_witness_arcs_validation():
         witness_arcs(axis(), 1)
     with pytest.raises(ValueError, match="out of range"):
         witness_arcs(branch(2, [(5, 1)], truncation=8), 2)
+
+
+def _underflow_message(radius):
+    return (
+        f"the gap at r = {radius:.6g} underflows double precision: it is 0, below the "
+        f"floor {np.finfo(float).tiny:.6g}"
+    )
+
+
+@pytest.mark.parametrize("beta", [1.25, 2.0])
+@pytest.mark.parametrize("h", range(2, 13))
+def test_distortion_check_fits_high_contact_or_names_the_radius(h, beta):
+    # y = x^2 against y = x^2 + x^h: sampled y-values of size r^2 keep the
+    # gap r^h while it is above their rounding, and lose it all below
+    grid = geometric_grid(1e-1, 1e-3, 16)
+    other = branch(1, [(2, 2)] if h == 2 else [(2, 1), (h, 1)], truncation=max(16, h))
+    a = sample_branch_arc(branch(1, [(2, 1)], truncation=16), 0, 0.0, grid)
+    b = sample_branch_arc(other, 0, 0.0, grid)
+    if h <= 7:
+        report = check_contact_distortion(a, b, beta, grid)
+        assert abs(report.source.slope - h) < 0.1
+        assert abs(report.image.slope - (h + beta - 1) / beta) < 0.1
+        return
+    first = grid[np.flatnonzero(gap_profile(a, b) < np.finfo(float).tiny)[0]]
+    with pytest.raises(ValueError, match=_underflow_message(first)) as caught:
+        check_contact_distortion(a, b, beta, grid)
+    assert "overlap" not in str(caught.value)
+
+
+@pytest.mark.parametrize("m", range(3, 22, 2))
+def test_witness_twist_fits_high_exponents_or_names_the_radius(m):
+    b = branch(2, [(2, 1), (m, 1)], truncation=m + 2)
+    radii = default_branch_grid(b)
+    base, _, twisted, _ = witness_arcs(b, 1, radii)
+    if m <= 9:
+        assert abs(estimate_contact(base, twisted, radii).slope - m / 2) < 0.1
+        return
+    first = radii[np.flatnonzero(gap_profile(base, twisted) < np.finfo(float).tiny)[0]]
+    with pytest.raises(ValueError, match=_underflow_message(first)) as caught:
+        estimate_contact(base, twisted, radii)
+    assert "overlap" not in str(caught.value)
