@@ -50,6 +50,11 @@ of multiplicities.  A ``Fraction`` is made only for a value handed out:
 one per distinct int pair among a verdict's obstructions (those with
 equal pairs share it), k0, and the result of a public obstruction
 function, which builds marks from pairs and wraps the same helpers.
+:func:`classify` checks each fact once, where it makes it: a value's
+range (0, 1] when its ``Fraction`` is made, and each source group's
+count when the lists of sources are built.  Its obstructions are then
+made without their constructor's checks, and the verdict still checks
+that k0 is the largest value and below 1.
 """
 
 from __future__ import annotations
@@ -127,10 +132,13 @@ def _branch_ratio(marks1, marks2) -> tuple[int, int] | None:
     else:
         scan = zip(marks1[-1:] * (g2 - g1 + 1), marks2[g1 - 1:])
     top, bottom = 0, 1
-    for mark1, mark2 in scan:
-        num, den = _pair_ratio(mark1, mark2)
-        if num != den and num * bottom > top * den:
-            top, bottom = num, den
+    # _pair_ratio inline: a + b == 2 max(a, b) exactly when a == b
+    for (m1, n1), (m2, n2) in scan:
+        a, b = m1 * n2, m2 * n1
+        if a != b:
+            num, den = a + b, 2 * max(a, b)
+            if num * bottom > top * den:
+                top, bottom = num, den
     return top, bottom
 
 
@@ -174,8 +182,12 @@ class Obstruction:
     indices of the first and of the second germ (``(u,)`` and ``(v,)``
     for characteristic exponents, ``(i, j)`` and ``(u, v)`` for
     contacts), and ``count`` is how many such pairs share its source
-    values.  The constructor checks the fields and stores them in one dict
-    update, half the cost of a frozen dataclass's own ``__init__``.
+    values.  The constructor checks what every caller other than
+    :func:`classify` passes in (an exact value in (0, 1], a positive
+    count) and stores the fields in one dict update, half the cost of a
+    frozen dataclass's own ``__init__``; :func:`classify` checks its
+    values and counts where it makes them and stores the fields the same
+    way.
     """
 
     kind: str
@@ -548,24 +560,41 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
             ],
         ),
     )
-    # k0 as an int pair, raised by cross-multiplication; one Fraction per
-    # distinct (num, den) pair, as many obstructions share a value
+    # each fact is checked once, where it is made, so the obstructions skip
+    # their constructor's checks: every count here, and below every value
+    for _, _, sources1, sources2 in scans:
+        for _, _, n, _ in sources1 + sources2:
+            if n < 1:
+                raise ConsistencyError(f"obstruction count {n} is not positive")
+    # k0 as an int pair, raised by cross-multiplication when a value is
+    # first seen; one Fraction per distinct (num, den) pair, as many
+    # obstructions share a value
     top, bottom = BASELINE.numerator, BASELINE.denominator
     values: dict[tuple[int, int], Fraction] = {}
+    new = object.__new__
     for kind, ratio_of, sources1, sources2 in scans:
         for value1, first, n1, w1 in sources1:
             for value2, second, n2, w2 in sources2:
                 ratio = ratio_of(value1, value2)
                 if ratio is not None:
-                    num, den = ratio
-                    if num * bottom > top * den:
-                        top, bottom = num, den
                     value = values.get(ratio)
                     if value is None:
+                        num, den = ratio
                         value = values[ratio] = Fraction(num, den)
-                    obstructions.append(
-                        Obstruction(kind, value, f"{w1} vs {w2}", first, second, n1 * n2)
+                        if not 0 < value.numerator <= value.denominator:
+                            raise ConsistencyError(f"obstruction value {value} outside (0, 1]")
+                        if num * bottom > top * den:
+                            top, bottom = num, den
+                    o = new(Obstruction)
+                    o.__dict__.update(
+                        kind=kind,
+                        value=value,
+                        witness=f"{w1} vs {w2}",
+                        first=first,
+                        second=second,
+                        count=n1 * n2,
                     )
+                    obstructions.append(o)
     return HolderVerdict(
         STATUS_DISTINCT, k0=Fraction(top, bottom), obstructions=tuple(obstructions)
     )

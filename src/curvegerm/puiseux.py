@@ -193,8 +193,12 @@ def _walk(b1: PuiseuxBranch, b2: PuiseuxBranch, ks):
     it differs from b1, and that int is its order, over n = lcm(n1, n2).
     At each exponent the two coefficients are lifted once into the
     smallest field that holds both and zeta_n2 (:func:`_lifted`), and
-    b2's is rotated once per residue k*m mod n2 among the conjugates
-    left.  Returns n, the limit of the walk and one order per k in
+    the residues r = k*m mod n2 of the conjugates left are tried in order
+    of first appearance, b2's coefficient rotated by zeta_n2^r (none for
+    r = 0).  That coefficient is not 0, so its rotations by distinct
+    residues differ and at most one residue agrees with b1's: the first
+    that does ends the trials, and every conjugate of another residue
+    drops out.  Returns n, the limit of the walk and one order per k in
     ``ks``, None for a conjugate that agrees at every known exponent.
     """
     n, limit, s1, s2 = _aligned(b1, b2)
@@ -210,14 +214,17 @@ def _walk(b1: PuiseuxBranch, b2: PuiseuxBranch, ks):
             break
         m, c = term
         a, c = _lifted(a, c, b2.n)
-        agrees: dict[int, bool] = {}
+        # c is not 0, so at most one residue agrees: none is tried after it
+        hit, missed = None, set()
         kept = []
         for k in left:
             r = k * m % b2.n
-            same = agrees.get(r)
-            if same is None:
-                same = agrees[r] = _turned(c, r, b2.n) == a
-            if same:
+            if hit is None and r not in missed:
+                if _turned(c, r, b2.n) == a:
+                    hit = r
+                else:
+                    missed.add(r)
+            if r == hit:
                 kept.append(k)
             else:
                 orders[k] = e

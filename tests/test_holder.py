@@ -25,6 +25,7 @@ from curvegerm import (
     load_germ,
     pair_obstruction,
 )
+from curvegerm import holder
 from curvegerm.holder import FORMAL_SMOOTH_PAIR, _contact_tree, _summary
 from curvegerm.puiseux import ConsistencyError
 
@@ -606,6 +607,23 @@ def test_distinct_verdict_rejects_a_wrong_k0(k0, values):
 def test_obstruction_value_must_lie_in_the_unit_interval(value):
     with pytest.raises(ConsistencyError, match=r"outside \(0, 1\]"):
         Obstruction("contact", value, "x", (0, 1), (0, 1))
+
+
+def test_classify_checks_each_value_where_it_is_made(monkeypatch):
+    g1 = germ([branch(1, [], truncation=16), branch(1, [(2, 1)], truncation=16)])
+    g2 = germ([branch(1, [], truncation=16), branch(1, [(3, 1)], truncation=16)])
+    monkeypatch.setattr(holder, "_contact_ratio", lambda cont1, cont2: (3, 2))
+    with pytest.raises(ConsistencyError, match=r"outside \(0, 1\]"):
+        classify(g1, g2)
+
+
+def test_classify_checks_each_source_count():
+    g1, g2 = germ([branch(2, [(5, 1)], truncation=8)]), germ([branch(2, [(3, 1)], truncation=8)])
+    groups = _summary(g1).mark_groups
+    marks, (first, _) = next(iter(groups.items()))
+    groups[marks] = (first, 0)
+    with pytest.raises(ConsistencyError, match="count 0 is not positive"):
+        classify(g1, g2)
 
 
 def test_verdict_serialization():

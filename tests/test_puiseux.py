@@ -25,7 +25,7 @@ from curvegerm import (
 )
 from curvegerm import cyclotomic
 from curvegerm.cyclotomic import field_degree
-from curvegerm.puiseux import ConsistencyError, difference_series
+from curvegerm.puiseux import ConsistencyError, _walk, difference_series
 
 
 def test_parse_single_cusp():
@@ -529,3 +529,38 @@ def test_difference_series_is_the_term_by_term_difference_with_the_conjugate():
             order = _outcome(difference_order, b1, b2, k)
             if isinstance(order, Fraction):
                 assert order == Fraction(expected[0][0], n)
+
+
+def test_pair_walk_rotates_nothing_once_residue_zero_agrees(monkeypatch):
+    # every conjugate k of the second branch meets zeta_5 * t^9 with its own
+    # residue 9k mod 8; residue 0 needs no rotation and agrees, and no other
+    # can agree with it, so the walk tries none of the other seven
+    rotate, calls = CyclotomicNumber.rotate, []
+    monkeypatch.setattr(
+        CyclotomicNumber, "rotate", lambda self, power: calls.append(power) or rotate(self, power)
+    )
+    b1 = branch(8, [(9, zeta(5)), (10, 1)], truncation=12)
+    b2 = branch(8, [(9, zeta(5)), (10, 2)], truncation=12)
+    calls.clear()
+    g = germ([b1, b2])
+    assert calls == []
+    assert g._sweeps[0, 1] == (8, (10,) + (9,) * 7)
+
+
+def test_pair_walk_orders_are_the_first_exponents_of_the_difference_series(generated_germs):
+    # difference_series walks every known term and drops none that differs,
+    # so its first exponent is where the walk must stop, when both know it
+    checked = 0
+    for _, g, _ in generated_germs:
+        for b1, b2 in itertools.product(g.branches, repeat=2):
+            n, limit, orders = _walk(b1, b2, range(b2.n))
+            assert limit == min(b1.truncation * n // b1.n, b2.truncation * n // b2.n)
+            for k, order in enumerate(orders):
+                _, terms = difference_series(b1, b2, k)
+                first = terms[0][0] if terms else None
+                if first is not None and first <= limit:
+                    assert order == first, (b1, b2, k)
+                    checked += 1
+                else:
+                    assert order is None, (b1, b2, k)
+    assert checked >= 1000, checked
