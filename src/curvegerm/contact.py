@@ -1,20 +1,19 @@
 """Pairwise contact exponents and intersection multiplicities of branches.
 
-The contact of two distinct analytic branches equals their coincidence
+The contact of two distinct analytic branches is their coincidence
 exponent: the largest order in x at which some pair of Newton-Puiseux
-parametrizations agrees, maximized over conjugates.  The intersection
-multiplicity is n1 times the sum of the difference orders against all n2
-conjugates of the second branch.
-
-Both numbers come from one walk over the pair's terms, which gives the
-order against every conjugate as an int s-exponent over n = lcm(n1, n2):
-contact is the largest over n, and the intersection number is n1 times
-their sum over n.  That quotient is always a positive integer; the
-division is checked, so truncation bugs fail loudly with
-ConsistencyError.  For a germ, the report reads the walks that validated
-it, kept in ``CurveGerm._sweeps`` as ``(n, orders)`` per pair.  Fractions
-are made only for the values handed out: :func:`contact`,
-:class:`ContactReport` and its JSON.
+parametrizations agrees.  One walk over the pair's terms finds it, and a
+germ keeps each pair's contact from the walk that validated it.  The
+intersection multiplicity follows by Max Noether's formula
+(Casas-Alvero, *Singularities of Plane Curves*, 2000): with contact c,
+multiplicities n1 and n2, and beta_q the last characteristic exponent
+of the first branch at or below n1*c,
+I = n2/n1 * (sum_{i<=q} (e_{i-1} - e_i) * beta_i + e_q * n1 * c).
+Only exponents up to the contact are read, so a branch whose full
+characteristic data lies beyond its truncation still reports.  I is
+always a positive integer; that is checked, so truncation bugs fail
+loudly with ConsistencyError.  Fractions are made only for the values
+handed out: :func:`contact`, :class:`ContactReport` and its JSON.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from curvegerm.invariants import _steps
 from curvegerm.puiseux import (
     ConsistencyError,
     CurveGerm,
@@ -32,16 +32,22 @@ from curvegerm.puiseux import (
 )
 
 
-def _intersection_of(n1: int, n: int, orders) -> int:
-    """Intersection number read off one sweep of s-exponents over n:
-    n1 times their sum over n."""
-    total = n1 * sum(orders)
-    if total % n or total <= 0:
+def _noether(b1: PuiseuxBranch, n2: int, p: int, den: int) -> int:
+    """I(b1, b2) by Noether's formula, b2 of multiplicity n2 at contact p/den."""
+    n1 = b1.n
+    total, e = 0, n1
+    for beta, g in _steps(b1):
+        if beta * den > p * n1:
+            break
+        total += (e - g) * beta
+        e = g
+    num, d = n2 * (total * den + e * p * n1), n1 * den
+    if num % d or num <= 0:
         raise ConsistencyError(
-            f"intersection multiplicity came out as {Fraction(total, n)}, not a positive "
+            f"intersection multiplicity came out as {Fraction(num, d)}, not a positive "
             "integer: internal bug or insufficient truncation"
         )
-    return total // n
+    return num // d
 
 
 def contact(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
@@ -53,30 +59,29 @@ def contact(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
     truncation.
 
     Coefficients from different fields are compared pair by pair, each
-    pair in the smallest field that holds both and zeta_n2:
+    pair in the smallest field that holds both:
 
     >>> from curvegerm import branch, zeta
     >>> contact(branch(2, [(4, 1), (5, 1)]), branch(3, [(6, 1), (7, zeta(3))]))
     Fraction(7, 3)
     """
-    n, limit, orders = _walk(b1, b2, range(b2.n))
-    blocked = [str(k) for k, e in enumerate(orders) if e is None]
-    if blocked:
+    n, limit, e, left = _walk(b1, b2, range(b2.n))
+    if left:
         raise TruncationExceeded(
-            f"contact inconclusive: conjugation(s) {', '.join(blocked)} agree within the "
-            "known terms",
-            # every order the walk found lies at or below the limit
+            f"contact inconclusive: conjugation(s) {', '.join(map(str, left))} agree "
+            "within the known terms",
+            # every conjugate that parted did so at or below the limit
             lower_bound=Fraction(limit + 1, n),
         )
-    return Fraction(max(orders), n)
+    return Fraction(e, n)
 
 
 def intersection_multiplicity(b1: PuiseuxBranch, b2: PuiseuxBranch) -> int:
     """Local intersection number of two distinct branches at the origin."""
-    n, limit, orders = _walk(b1, b2, range(b2.n))
-    if None in orders:
+    n, limit, e, left = _walk(b1, b2, range(b2.n))
+    if left:
         raise _inconclusive(n, limit)
-    return _intersection_of(b1.n, n, orders)
+    return _noether(b1, b2.n, e, n)
 
 
 @dataclass(frozen=True)
@@ -123,15 +128,18 @@ class ContactReport:
 def contact_report(g: CurveGerm) -> ContactReport:
     """Fill both pairwise matrices for all distinct branch pairs of the germ.
 
-    Reads the sweeps that validated the germ; every order there is
-    exact, so no pair is compared again.
+    Reads the contacts that validated the germ; each is exact, so no
+    pair is compared again.
     """
+    den, rows = g._contacts
     r = len(g.branches)
     cont: list[list[Fraction | None]] = [[None] * r for _ in range(r)]
     inter: list[list[int | None]] = [[None] * r for _ in range(r)]
-    for (i, j), (n, orders) in g._sweeps.items():
-        cont[i][j] = cont[j][i] = Fraction(max(orders), n)
-        inter[i][j] = inter[j][i] = _intersection_of(g.branches[i].n, n, orders)
+    for i, bi in enumerate(g.branches):
+        for j in range(i + 1, r):
+            p = rows[i][j]
+            cont[i][j] = cont[j][i] = Fraction(p, den)
+            inter[i][j] = inter[j][i] = _noether(bi, g.branches[j].n, p, den)
     return ContactReport(
         r,
         # lists, not generators, for the reason given at PuiseuxBranch.exponents

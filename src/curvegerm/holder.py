@@ -435,16 +435,15 @@ class _Summary:
     """What the classifier reads of one germ, whatever it is compared with.
 
     ``marks`` (:func:`_marks`, equal exactly when betas are) are per
-    branch, ``den`` is the lcm of the multiplicities and ``contact`` the
-    contact matrix, row tuples of int numerators over ``den``, None on
-    the diagonal.  ``tree`` is the contact tree from
-    :func:`_contact_tree` and ``key`` its root's key.  ``mark_groups`` and
-    ``contact_groups``, the :func:`_groups` of the marks by branch and of
-    the contacts by branch pair, are read only for distinct germs, so
-    they are built on first use.  A germ keeps its summary as long as it
-    lives, so the summary is kept in tuples, most of them of ints, which
-    Python's cyclic garbage collector stops tracking.  It is a plain
-    class because making a dataclass costs about 0.6 ms at every import.
+    branch, and ``den`` and ``contact`` are the germ's ``_contacts``.
+    ``tree`` is the contact tree from :func:`_contact_tree` and ``key``
+    its root's key.  ``mark_groups`` and ``contact_groups``, the
+    :func:`_groups` of the marks by branch and of the contacts by branch
+    pair, are read only for distinct germs, so they are built on first
+    use.  A germ keeps its summary as long as it lives, so the summary is
+    kept in tuples, most of them of ints, which Python's cyclic garbage
+    collector stops tracking.  It is a plain class because making a
+    dataclass costs about 0.6 ms at every import.
     """
 
     def __init__(self, marks, den, contact, tree):
@@ -467,11 +466,7 @@ def _summary(g: CurveGerm) -> _Summary:
     summary = g._holder
     if summary is None:
         data = [characteristic_data(b) for b in g.branches]
-        r, den = len(data), math.lcm(*(b.n for b in g.branches))
-        rows: list[list[int | None]] = [[None] * r for _ in range(r)]
-        for (i, j), (n, orders) in g._sweeps.items():
-            rows[i][j] = rows[j][i] = max(orders) * (den // n)
-        contact = tuple([tuple(row) for row in rows])
+        den, contact = g._contacts
         tree = _contact_tree(contact, den, [d.beta for d in data])
         summary = _Summary(tuple([_marks(d.pairs) for d in data]), den, contact, tree)
         object.__setattr__(g, "_holder", summary)

@@ -64,28 +64,34 @@ class CharacteristicData:
             raise ConsistencyError(f"inconsistent characteristic data: {self}")
 
 
+def _steps(b: PuiseuxBranch):
+    """The gcd recursion on the known exponents, one (beta_i, e_i) at a
+    time, i >= 1.  Exponents increase, so beta_{i+1} is the first one
+    past beta_i that e_i does not divide.  The walk is lazy, so a reader
+    that stops early ends it there."""
+    e = b.n
+    for m, _ in b.terms:
+        if e == 1:
+            return
+        if m % e:
+            e = math.gcd(e, m)
+            yield m, e
+
+
 def characteristic_data(b: PuiseuxBranch) -> CharacteristicData:
     """Run the gcd recursion on the known exponents of the branch.
 
     Raises TruncationExceeded when some e_i > 1 divides every known
     exponent: the branch is non-primitive as far as visible.
     """
-    if b.n == 1:
-        return CharacteristicData((1,), (1,), (), 0)
     beta = [b.n]
     e = [b.n]
     pairs = []
-    # exponents increase, so beta_{i+1} is the first exponent past beta_i
-    # that e_i does not divide: one walk over the terms finds them all
-    for m, _ in b.terms:
-        if m % e[-1]:
-            g = math.gcd(e[-1], m)
-            pairs.append((m // g, e[-1] // g))
-            beta.append(m)
-            e.append(g)
-            if g == 1:
-                break
-    else:
+    for m, g in _steps(b):
+        pairs.append((m // g, e[-1] // g))
+        beta.append(m)
+        e.append(g)
+    if e[-1] != 1:
         raise TruncationExceeded(
             f"characteristic recursion is stuck at gcd e={e[-1]}: every known "
             f"exponent up to the truncation {b.truncation} is divisible by it "

@@ -184,52 +184,42 @@ def _aligned(b1: PuiseuxBranch, b2: PuiseuxBranch):
 
 
 def _walk(b1: PuiseuxBranch, b2: PuiseuxBranch, ks):
-    """The orders at which b1 and the conjugates k in ``ks`` of b2 first
-    differ, from one walk over the pair's terms.
+    """Where b1 and the conjugates k in ``ks`` of b2 part, from one walk
+    over the pair's terms.
 
-    The s-exponents of both series (:func:`_aligned`) are walked once,
-    up to the last one at which both are known, carrying the conjugates
-    that still agree: conjugate k drops out at the first s-exponent where
-    it differs from b1, and that int is its order, over n = lcm(n1, n2).
-    At each exponent the two coefficients are lifted once into the
-    smallest field that holds both and zeta_n2 (:func:`_lifted`), and
-    the residues r = k*m mod n2 of the conjugates left are tried in order
-    of first appearance, b2's coefficient rotated by zeta_n2^r (none for
-    r = 0).  That coefficient is not 0, so its rotations by distinct
-    residues differ and at most one residue agrees with b1's: the first
-    that does ends the trials, and every conjugate of another residue
-    drops out.  Returns n, the limit of the walk and one order per k in
-    ``ks``, None for a conjugate that agrees at every known exponent.
+    The s-exponents of both series (:func:`_aligned`) are walked once, up
+    to the last one both know, carrying the conjugates that still agree:
+    conjugate k drops out at the first s-exponent where it differs from
+    b1, its order over n = lcm(n1, n2).  At each exponent the residues
+    r = k*m mod n2 of the conjugates left are tried in order of first
+    appearance, b2's coefficient rotated by zeta_n2^r (not for r = 0) and
+    lifted with b1's into their smallest common field (:func:`_lifted`).
+    That coefficient is not 0, so at most one residue agrees: the first
+    that does ends the trials, and every conjugate of another drops out.
+    Returns n, the limit, the s-exponent at which the last conjugate drops
+    out (the contact for all conjugates, the order for one) or None, and
+    the conjugates that agree up to the limit, in the order of ``ks``.
     """
     n, limit, s1, s2 = _aligned(b1, b2)
-    orders = dict.fromkeys(ks)
-    left = list(orders)
+    left = list(ks)
     for e in sorted(s1.keys() | s2.keys()):
-        if not left or e > limit:
+        if e > limit:
             break
         a, term = s1.get(e), s2.get(e)
         if a is None or term is None:
-            for k in left:
-                orders[k] = e
-            break
+            return n, limit, e, []
         m, c = term
-        a, c = _lifted(a, c, b2.n)
         # c is not 0, so at most one residue agrees: none is tried after it
-        hit, missed = None, set()
-        kept = []
-        for k in left:
-            r = k * m % b2.n
-            if hit is None and r not in missed:
-                if _turned(c, r, b2.n) == a:
-                    hit = r
-                else:
-                    missed.add(r)
-            if r == hit:
-                kept.append(k)
-            else:
-                orders[k] = e
-        left = kept
-    return n, limit, list(orders.values())
+        hit = None
+        for r in dict.fromkeys([k * m % b2.n for k in left]):
+            x, y = _lifted(a, _turned(c, r, b2.n))
+            if x == y:
+                hit = r
+                break
+        left = [k for k in left if k * m % b2.n == hit]
+        if not left:
+            return n, limit, e, []
+    return n, limit, None, left
 
 
 def _inconclusive(n: int, limit: int) -> TruncationExceeded:
@@ -248,7 +238,7 @@ def difference_order(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0) -> Fracti
     Raises TruncationExceeded, carrying the lower bound (limit+1)/lcm,
     when every comparable term agrees.
     """
-    n, limit, (e,) = _walk(b1, b2, (k,))
+    n, limit, e, _ = _walk(b1, b2, (k,))
     if e is None:
         raise _inconclusive(n, limit)
     return Fraction(e, n)
@@ -306,38 +296,38 @@ class CurveGerm:
 
     Distinctness means no branch is a Newton-Puiseux conjugate of
     another: for every conjugation some pair of known terms must differ.
-    The walk that proves it is kept: ``_sweeps[i, j]`` holds ``(n, orders)``
-    for i < j, with n = lcm of the two multiplicities and ``orders`` the
-    tuple of int s-exponents at which branches[i] and each conjugate k of
-    branches[j] first differ, so ``difference_order(branches[i],
-    branches[j], k) == orders[k] / n``.  The contact report and the
-    classifier read it.  ``_holder`` holds the classifier's summary of the
-    germ, built by :mod:`curvegerm.holder` on first use.  Both are derived
-    from the branches, so they stay out of ``__init__``, ``repr``, ``==``
-    and ``hash``.
+    The walk that proves it (:func:`_walk`) finds each pair's contact,
+    kept in ``_contacts`` as ``(den, rows)``: int numerators over den =
+    lcm of the multiplicities, None on the diagonal.  The contact report
+    and the classifier read it.  ``_holder`` holds the classifier's
+    summary, built by :mod:`curvegerm.holder` on first use.  Both are
+    derived from the branches, so they stay out of ``__init__``,
+    ``repr``, ``==`` and ``hash``.
     """
 
     branches: tuple[PuiseuxBranch, ...]
-    _sweeps: dict = field(init=False, repr=False, compare=False)
+    _contacts: tuple = field(init=False, repr=False, compare=False)
     _holder: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(self.branches))
-        if not self.branches:
+        branches = self.branches
+        if not branches:
             raise GermValidationError("a germ needs at least one branch")
-        sweeps = {}
-        for i, bi in enumerate(self.branches):
-            for j in range(i + 1, len(self.branches)):
-                bj = self.branches[j]
-                n, _, orders = _walk(bi, bj, range(bj.n))
-                if None in orders:
+        r, den = len(branches), math.lcm(*(b.n for b in branches))
+        rows: list[list[int | None]] = [[None] * r for _ in range(r)]
+        for i, bi in enumerate(branches):
+            for j in range(i + 1, r):
+                bj = branches[j]
+                n, _, e, left = _walk(bi, bj, range(bj.n))
+                if left:
                     raise GermValidationError(
                         f"branches {i} and {j} cannot be told apart "
-                        f"(conjugation {orders.index(None)} agrees within the known "
+                        f"(conjugation {left[0]} agrees within the known "
                         "terms): duplicate branch or insufficient truncation"
                     )
-                sweeps[i, j] = (n, tuple(orders))
-        object.__setattr__(self, "_sweeps", sweeps)
+                rows[i][j] = rows[j][i] = e * (den // n)
+        object.__setattr__(self, "_contacts", (den, tuple([tuple(row) for row in rows])))
 
 
 def germ(branches) -> CurveGerm:

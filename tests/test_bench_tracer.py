@@ -46,17 +46,18 @@ def test_tracer_counts_one_sweep_and_no_per_conjugate_call():
     assert counts["puiseux.CurveGerm.sweep"] == 1
     assert counts["contact.contact_report"] == 1
     # One walk per pair when the germ is built, over every conjugate at
-    # once; contact_report reads it and calls no per-conjugate kernel.
+    # once; contact_report reads the contacts it found and calls no
+    # per-conjugate kernel.
     assert counts.get("puiseux.difference_order", 0) == 0
     assert counts.get("puiseux.conjugate", 0) == 0
     assert curvegerm.contact_report is original
 
 
 def test_tracer_sees_only_pair_fields():
-    # Fields 3, 5 and 7 (lcm 105, degree 48): each pair compares its shared
-    # rational x^2 coefficient in the smallest field that holds it and the
-    # second branch's roots of unity, the largest of which is Q(zeta_7);
-    # every pair parts before it reaches a coefficient with a root of unity.
+    # Fields 3, 5 and 7 (lcm 105, degree 48): each pair agrees at its shared
+    # rational x^2 coefficient with conjugate 0, which needs no rotation, so
+    # that comparison stays in Q; every pair parts before it reaches a
+    # coefficient with a root of unity.
     branches = [
         branch(3, [(6, 1), (7, zeta(3))]),
         branch(5, [(10, 1), (11, zeta(5))]),
@@ -70,4 +71,4 @@ def test_tracer_sees_only_pair_fields():
         tracer.uninstall()
     _, counts = tracer.take()
     assert report.contact[1][2] == Fraction(15, 7)
-    assert counts["cyclotomic.max_field_degree"] == field_degree(7) == 6
+    assert counts["cyclotomic.max_field_degree"] == field_degree(1) == 1

@@ -389,17 +389,17 @@ def test_exit_code_5_on_an_internal_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error (internal): contacts are not")
 
 
-def test_exit_code_5_on_a_tampered_sweep(tmp_path, capsys, monkeypatch):
+def test_exit_code_5_on_a_tampered_contact(tmp_path, capsys, monkeypatch):
     from curvegerm.puiseux import load_germ
 
     def tampered(path):
         g = load_germ(path)
-        g._sweeps[0, 1] = (2, (4, 3))
+        object.__setattr__(g, "_contacts", (2, ((None, 4), (4, None))))
         return g
 
     monkeypatch.setattr(cli, "load_germ", tampered)
     cusp = {"n": 2, "truncation": 8, "terms": [{"exp": 3, "coeff": {"rational": "1"}}]}
-    path = write(tmp_path, "g.json", {"branches": [AXIS["branches"][0], cusp]})
+    path = write(tmp_path, "g.json", {"branches": [cusp, AXIS["branches"][0]]})
     code, payload = run_json(capsys, ["contact", path])
     assert code == 5
     assert payload == {

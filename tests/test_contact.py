@@ -1,4 +1,6 @@
+import itertools
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -18,9 +20,14 @@ from curvegerm import (
     germ_from_dict,
     germ_to_dict,
     intersection_multiplicity,
+    load_germ,
     zeta,
 )
+from curvegerm.contact import _noether
+from curvegerm.invariants import characteristic_data
 from curvegerm.puiseux import ConsistencyError
+
+DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
 
 # --- exact series substitution oracle --------------------------------------
 #
@@ -321,12 +328,15 @@ def test_contact_matrices_must_be_consistent():
         )
 
 
-@pytest.mark.parametrize("orders, value", [((4, 3), "7/2"), ((0, 0), "0")])
-def test_a_tampered_sweep_fails_the_intersection_check(orders, value):
-    g = germ([branch(1, [], truncation=16), branch(2, [(3, 1)], truncation=8)])
-    assert g._sweeps[0, 1] == (2, (3, 3))
+@pytest.mark.parametrize("numerator, value", [(4, "7/2"), (0, "0")])
+def test_a_tampered_contact_fails_the_intersection_check(numerator, value):
+    # the cusp y = t^3 (n = 2, beta_1 = 3) against the axis: Noether's formula
+    # gives (1/2) * (3 + 1 * 2 * c), so the true contact 3/2 gives 3, and a
+    # contact of 2 or 0 gives 7/2 or 0
+    g = germ([branch(2, [(3, 1)], truncation=8), branch(1, [], truncation=16)])
+    assert g._contacts == (2, ((None, 3), (3, None)))
     assert contact_report(g).intersection[0][1] == 3
-    g._sweeps[0, 1] = (2, orders)
+    object.__setattr__(g, "_contacts", (2, ((None, numerator), (numerator, None))))
     with pytest.raises(
         ConsistencyError,
         match=f"intersection multiplicity came out as {value}, not a positive integer",
@@ -339,3 +349,41 @@ def test_report_serialization_round_trips_rationals():
     payload = contact_report(g).to_dict()
     assert payload["contact"][0][1] == "3/2"
     assert Fraction(payload["contact"][0][1]) == Fraction(3, 2)
+
+
+def conjugate_sum(b1, b2):
+    """Oracle: n1 times the sum of the orders at which b1 and each
+    conjugate of b2 first differ."""
+    total = b1.n * sum(difference_order(b1, b2, k) for k in range(b2.n))
+    assert total.denominator == 1 and total > 0, (b1, b2, total)
+    return int(total)
+
+
+def test_intersection_numbers_equal_the_conjugate_sum(generated_germs):
+    demos = [load_germ(path) for path in sorted(DEMO_DATA.glob("*.json"))]
+    pairs = 0
+    for g in [g for _, g, _ in generated_germs] + demos:
+        inter = contact_report(g).intersection
+        den, rows = g._contacts
+        for i, j in itertools.permutations(range(len(g.branches)), 2):
+            bi, bj = g.branches[i], g.branches[j]
+            expected = conjugate_sum(bi, bj)
+            assert inter[i][j] == intersection_multiplicity(bi, bj) == expected, (bi, bj)
+            # Noether's formula read from either branch's exponents
+            assert _noether(bi, bj.n, rows[i][j], den) == _noether(bj, bi.n, rows[i][j], den)
+            pairs += 1
+    assert pairs >= 300 and len(demos) == 8, pairs
+
+
+def test_intersection_reads_the_exponents_only_up_to_the_contact():
+    # a is y = x + x^2 with n = 2: every known exponent is even, so its
+    # characteristic data is beyond the truncation, but nothing past the
+    # contact 1 with y = 2x is needed for their intersection number
+    a = branch(2, [(2, 1), (4, 1)], truncation=4)
+    b = branch(1, [(1, 2)], truncation=3)
+    with pytest.raises(TruncationExceeded):
+        characteristic_data(a)
+    for pair in ([a, b], [b, a]):
+        report = contact_report(germ(pair))
+        assert report.contact[0][1] == 1 and report.intersection[0][1] == 2
+        assert intersection_multiplicity(*pair) == 2

@@ -301,7 +301,9 @@ def test_mixed_multiplicities_build_only_pair_fields(monkeypatch):
     built = _record_power_bases(monkeypatch)
     report = contact_report(germ(_zeta3_branches((7, 8, 9, 11, 13))))
     assert report.contact[3][4] == Fraction(27, 13) and report.intersection[3][4] == 11 * 27
-    assert 39 in built and max(built) <= 39 and 429 not in built
+    # every pair agrees without a rotation until it parts, so no comparison
+    # leaves the coefficients' own field
+    assert set(built) == {3}
 
 
 def test_germ_file_of_mixed_multiplicities_needs_only_the_coefficient_field(monkeypatch):
@@ -544,23 +546,29 @@ def test_pair_walk_rotates_nothing_once_residue_zero_agrees(monkeypatch):
     calls.clear()
     g = germ([b1, b2])
     assert calls == []
-    assert g._sweeps[0, 1] == (8, (10,) + (9,) * 7)
+    assert g._contacts == (8, ((None, 10), (10, None)))
 
 
 def test_pair_walk_orders_are_the_first_exponents_of_the_difference_series(generated_germs):
     # difference_series walks every known term and drops none that differs,
-    # so its first exponent is where the walk must stop, when both know it
+    # so its first exponent is where the walk of one conjugate must stop,
+    # when both know it; the walk over every conjugate stops at the largest
     checked = 0
     for _, g, _ in generated_germs:
         for b1, b2 in itertools.product(g.branches, repeat=2):
-            n, limit, orders = _walk(b1, b2, range(b2.n))
-            assert limit == min(b1.truncation * n // b1.n, b2.truncation * n // b2.n)
-            for k, order in enumerate(orders):
+            orders = []
+            for k in range(b2.n):
+                n, limit, order, left = _walk(b1, b2, (k,))
+                assert limit == min(b1.truncation * n // b1.n, b2.truncation * n // b2.n)
                 _, terms = difference_series(b1, b2, k)
                 first = terms[0][0] if terms else None
                 if first is not None and first <= limit:
-                    assert order == first, (b1, b2, k)
+                    assert (order, left) == (first, []), (b1, b2, k)
                     checked += 1
                 else:
-                    assert order is None, (b1, b2, k)
+                    assert (order, left) == (None, [k]), (b1, b2, k)
+                orders.append(order)
+            blocked = [k for k, order in enumerate(orders) if order is None]
+            top = None if blocked else max(orders)
+            assert _walk(b1, b2, range(b2.n)) == (n, limit, top, blocked), (b1, b2)
     assert checked >= 1000, checked
