@@ -29,10 +29,10 @@ Exit codes: 0 success, 1 standard output closed before the report was
 written (the reader of a pipe quit early, as ``head`` does; nothing is
 printed to stderr), 2 parse or validation error, 3 truncation
 insufficient, 4 unsupported request, 5 internal error (a RuntimeError
-from a broken invariant of the library, such as a non-ultrametric
-contact matrix, or a ConsistencyError from a result's own check, such
-as an asymmetric contact matrix; a bug to report, not a fault of the
-input).
+from a broken invariant of the library, such as two contact trees
+with equal keys that fail to match, or a ConsistencyError from a
+result's own check, such as an asymmetric contact matrix; a bug to
+report, not a fault of the input).
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The contact of two distinct analytic branches is their coincidence
 exponent: the largest order in x at which some pair of Newton-Puiseux
-parametrizations agrees.  One walk over the pair's terms finds it, and a
-germ keeps each pair's contact from the walk that validated it.  The
+parametrizations agrees.  The walk that validates a germ finds its
+contact tree and so every pair's contact, and the germ keeps them.  The
 intersection multiplicity follows by Max Noether's formula
 (Casas-Alvero, *Singularities of Plane Curves*, 2000): with contact c,
 multiplicities n1 and n2, and beta_q the last characteristic exponent
@@ -27,16 +27,17 @@ from curvegerm.puiseux import (
     CurveGerm,
     PuiseuxBranch,
     TruncationExceeded,
+    _contact_tree,
     _inconclusive,
-    _walk,
 )
 
 
-def _noether(b1: PuiseuxBranch, n2: int, p: int, den: int) -> int:
-    """I(b1, b2) by Noether's formula, b2 of multiplicity n2 at contact p/den."""
-    n1 = b1.n
+def _noether(n1: int, steps, n2: int, p: int, den: int) -> int:
+    """I(b1, b2) by Noether's formula: b1 of multiplicity n1 with gcd steps
+    ``steps`` (:func:`curvegerm.invariants._steps`), b2 of multiplicity n2,
+    at contact p/den."""
     total, e = 0, n1
-    for beta, g in _steps(b1):
+    for beta, g in steps:
         if beta * den > p * n1:
             break
         total += (e - g) * beta
@@ -54,9 +55,10 @@ def contact(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
     """Contact exponent of two distinct branches: their maximal order of
     agreement over all conjugates.
 
-    Raises TruncationExceeded when any conjugate comparison is
-    inconclusive, since the true maximum might then be hidden beyond the
-    truncation.
+    This is the germ's walk (:func:`curvegerm.puiseux._contact_tree`) on
+    two branches.  Raises TruncationExceeded when any conjugate
+    comparison is inconclusive, since the true maximum might then be
+    hidden beyond the truncation.
 
     Coefficients from different fields are compared pair by pair, each
     pair in the smallest field that holds both:
@@ -65,23 +67,24 @@ def contact(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
     >>> contact(branch(2, [(4, 1), (5, 1)]), branch(3, [(6, 1), (7, zeta(3))]))
     Fraction(7, 3)
     """
-    n, limit, e, left = _walk(b1, b2, range(b2.n))
-    if left:
+    n, rows, _, blocked = _contact_tree((b1, b2))
+    if blocked:
+        limit, left = blocked
         raise TruncationExceeded(
             f"contact inconclusive: conjugation(s) {', '.join(map(str, left))} agree "
             "within the known terms",
             # every conjugate that parted did so at or below the limit
             lower_bound=Fraction(limit + 1, n),
         )
-    return Fraction(e, n)
+    return Fraction(rows[0][1], n)
 
 
 def intersection_multiplicity(b1: PuiseuxBranch, b2: PuiseuxBranch) -> int:
     """Local intersection number of two distinct branches at the origin."""
-    n, limit, e, left = _walk(b1, b2, range(b2.n))
-    if left:
-        raise _inconclusive(n, limit)
-    return _noether(b1, b2.n, e, n)
+    n, rows, _, blocked = _contact_tree((b1, b2))
+    if blocked:
+        raise _inconclusive(n, blocked[0])
+    return _noether(b1.n, _steps(b1), b2.n, rows[0][1], n)
 
 
 @dataclass(frozen=True)
@@ -129,17 +132,18 @@ def contact_report(g: CurveGerm) -> ContactReport:
     """Fill both pairwise matrices for all distinct branch pairs of the germ.
 
     Reads the contacts that validated the germ; each is exact, so no
-    pair is compared again.
+    pair is compared again.  Each branch's gcd steps are taken once.
     """
     den, rows = g._contacts
     r = len(g.branches)
+    steps = [list(_steps(b)) for b in g.branches]
     cont: list[list[Fraction | None]] = [[None] * r for _ in range(r)]
     inter: list[list[int | None]] = [[None] * r for _ in range(r)]
     for i, bi in enumerate(g.branches):
         for j in range(i + 1, r):
             p = rows[i][j]
             cont[i][j] = cont[j][i] = Fraction(p, den)
-            inter[i][j] = inter[j][i] = _noether(bi, g.branches[j].n, p, den)
+            inter[i][j] = inter[j][i] = _noether(bi.n, steps[i], g.branches[j].n, p, den)
     return ContactReport(
         r,
         # lists, not generators, for the reason given at PuiseuxBranch.exponents

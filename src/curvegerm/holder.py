@@ -12,20 +12,21 @@ data and all pairwise contacts, the germs are topologically equivalent,
 hence bi-Lipschitz equivalent, and the verdict says so.
 
 That bijection is found on the contact tree (the Kuo-Lu / Eggers tree)
-rather than by search.  Contact is an ultrametric, so each germ's
-contact matrix is a rooted tree: its leaves are the branches, labelled
-by their characteristic exponents, and an internal node labelled c
-splits its branches into the classes of "contact > c".  A bijection
-keeps every beta and every contact exactly when it is an isomorphism of
-these labelled trees.  By Zariski and Burau, characteristic data plus
+rather than by search.  Contact is an ultrametric, so a germ's branches
+form a rooted tree: its leaves are the branches, labelled by their
+characteristic exponents, and an internal node labelled c splits its
+branches into the classes of "contact > c".  A bijection keeps every
+beta and every contact exactly when it is an isomorphism of these
+labelled trees.  By Zariski and Burau, characteristic data plus
 pairwise contacts is the complete topological invariant of a germ, so
-the tree is a property of each germ alone.  Each germ keeps, built once
-on first use, a summary that no partner changes: its branches' marks,
-its contact matrix, and its contact tree, built in O(r**2) with a
-canonical key, a nested tuple in the manner of Aho, Hopcroft and Ullman
-(see :func:`holder_key`) and the same kind of key on every node; the
-groups of its marks and of its contacts join it the first time a
-distinct verdict reads them.  Two germs are equivalent exactly when
+the tree is a property of each germ alone; the walk that validates the
+germ builds it (``CurveGerm._tree``).  Each germ keeps, built once on
+first use, a summary that no partner changes: its branches' marks, its
+contact matrix, and its contact tree keyed bottom-up with a canonical
+key, a nested tuple in the manner of Aho, Hopcroft and Ullman (see
+:func:`holder_key`), and the same kind of key on every node; the groups
+of its marks and of its contacts join it the first time a distinct
+verdict reads them.  Two germs are equivalent exactly when
 their keys are equal; the bijection returned is then the one a search
 over all r! bijections finds first in lexicographic order, read off the
 two trees by climbing from leaf pairs through nodes of equal keys.
@@ -293,98 +294,42 @@ class HolderVerdict:
         }
 
 
-def _contact_tree(c, den: int, betas):
-    """A germ's contact tree, with a key per node, from O(r**2) entries.
+def _keyed_tree(tree, den: int, betas):
+    """The germ's contact tree with a key per node, built bottom-up.
 
-    ``c`` is the contact matrix, off the diagonal, as int numerators over
-    ``den``.  Returns ``(keys, parents, leaves)``, three flat tuples.
-    Node k has key ``keys[k]`` and parent ``parents[k]`` (-1 for the
-    root), and comes after its parent; ``leaves[i]`` is the leaf of
-    branch i.  A leaf's key is its branch's beta; an inner node's key is
-    (its contact level as the int pair (numerator, denominator) in
-    lowest terms, the sorted betas of its leaf children, the sorted keys
-    of its inner children).  Two nodes have equal keys exactly when
-    their subtrees are isomorphic, and ``keys[0]`` is the germ's
-    :func:`holder_key`.
-
-    A cluster's level is the least contact from one pivot, which in an
-    ultrametric is the least contact in the cluster, and its classes are
-    those of "contact > level", each tested against one member.  Only
-    pairs in different classes are checked, each against the level, so
-    every pair is checked exactly once, at the node where it splits, and
-    the checks pass exactly when the matrix is the ultrametric of the
-    tree.  Raises RuntimeError on a matrix that is not an ultrametric,
-    which exact contacts never are.
+    ``tree`` is the germ's ``(levels, parents, leaves)``, its levels int
+    numerators over ``den``; every node comes after its parent.  Returns
+    ``(keys, parents, leaves)``.  A leaf's key is its branch's beta; an
+    inner node's key is (its contact level as the int pair (numerator,
+    denominator) in lowest terms, the sorted betas of its leaf children,
+    the sorted keys of its inner children).  Two nodes have equal keys
+    exactly when their subtrees are isomorphic, and ``keys[0]`` is the
+    germ's :func:`holder_key`.
     """
-    # an inner node holds its level until its key is built, bottom-up
-    keys: list = []
-    parents: list[int] = []
-    children: list[list[int]] = []
-    leaves = [0] * len(betas)
-    todo = [(list(range(len(betas))), -1)]
-    while todo:
-        members, parent = todo.pop()
-        node = len(keys)
-        parents.append(parent)
-        if parent >= 0:
-            children[parent].append(node)
-        if len(members) == 1:
-            # the root of a germ of one branch
-            keys.append(betas[members[0]])
-            children.append([])
-            leaves[members[0]] = node
-            continue
-        pivot = c[members[0]]
-        level = min([pivot[j] for j in members[1:]])
-        classes: list[list[int]] = []
-        for i in members:
-            for cls in classes:
-                if c[cls[0]][i] > level:
-                    cls.append(i)
-                    break
-            else:
-                classes.append([i])
-        for k, cls in enumerate(classes):
-            for other in classes[k + 1:]:
-                for i in cls:
-                    row = c[i]
-                    for j in other:
-                        if row[j] != level:
-                            raise RuntimeError(
-                                "contacts are not an ultrametric at branches "
-                                f"({min(i, j)}, {max(i, j)}): internal bug"
-                            )
-        g = math.gcd(level, den)
-        keys.append((level // g, den // g))
-        kids: list[int] = []
-        children.append(kids)
-        # a class of one branch is a leaf, made here
-        for cls in reversed(classes):
-            if len(cls) > 1:
-                todo.append((cls, node))
-            else:
-                kids.append(len(keys))
-                leaves[cls[0]] = len(keys)
-                keys.append(betas[cls[0]])
-                parents.append(node)
-                children.append([])
+    levels, parents, leaves = tree
+    keys = list(levels)
+    for i, node in enumerate(leaves):
+        keys[node] = betas[i]
+    # the keys of each node's leaf children and of its inner children
+    below = [([], []) for _ in keys]
     for node in range(len(keys) - 1, -1, -1):
-        kids = children[node]
-        if kids:
-            leaf_keys, inner_keys = [], []
-            for k in kids:
-                (inner_keys if children[k] else leaf_keys).append(keys[k])
+        level = levels[node]
+        if level is not None:
+            leaf_keys, inner_keys = below[node]
             leaf_keys.sort()
             inner_keys.sort()
-            keys[node] = (keys[node], tuple(leaf_keys), tuple(inner_keys))
-    return tuple(keys), tuple(parents), tuple(leaves)
+            g = math.gcd(level, den)
+            keys[node] = ((level // g, den // g), tuple(leaf_keys), tuple(inner_keys))
+        if parents[node] >= 0:
+            below[parents[node]][level is not None].append(keys[node])
+    return tuple(keys), parents, leaves
 
 
 def _first_matching(tree1, tree2) -> tuple[int, ...]:
     """Lexicographically first isomorphism of two contact trees with equal
     root keys, read off leaf by leaf.
 
-    Each tree is ``(keys, parents, leaves)`` from :func:`_contact_tree`.
+    Each tree is ``(keys, parents, leaves)`` from :func:`_keyed_tree`.
     Branch i goes to the smallest free j whose leaf climbs in step with
     i's leaf through free nodes of equal keys until both reach a pair
     already matched to each other or both pass the root; the pairs
@@ -436,7 +381,7 @@ class _Summary:
 
     ``marks`` (:func:`_marks`, equal exactly when betas are) are per
     branch, and ``den`` and ``contact`` are the germ's ``_contacts``.
-    ``tree`` is the contact tree from :func:`_contact_tree` and ``key``
+    ``tree`` is the germ's contact tree from :func:`_keyed_tree` and ``key``
     its root's key.  ``mark_groups`` and ``contact_groups``, the
     :func:`_groups` of the marks by branch and of the contacts by branch
     pair, are read only for distinct germs, so they are built on first
@@ -467,7 +412,7 @@ def _summary(g: CurveGerm) -> _Summary:
     if summary is None:
         data = [characteristic_data(b) for b in g.branches]
         den, contact = g._contacts
-        tree = _contact_tree(contact, den, [d.beta for d in data])
+        tree = _keyed_tree(g._tree, den, [d.beta for d in data])
         summary = _Summary(tuple([_marks(d.pairs) for d in data]), den, contact, tree)
         object.__setattr__(g, "_holder", summary)
     return summary

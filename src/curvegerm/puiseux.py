@@ -18,6 +18,7 @@ every root-of-unity phenomenon conjugation can produce.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -167,59 +168,95 @@ def conjugate(b: PuiseuxBranch, k: int) -> PuiseuxBranch:
     return PuiseuxBranch(b.n, terms, b.truncation)
 
 
-def _aligned(b1: PuiseuxBranch, b2: PuiseuxBranch):
-    """b1 and b2 over the common parameter s, x = s^n with n = lcm(n1, n2).
+def _contact_tree(branches):
+    """The branches' contacts and contact tree (Kuo and Lu), from one walk
+    over their terms.
 
-    Returns n, the s-exponent up to which both series are known, and
-    both series keyed by s-exponent: b1's coefficients, and b2's terms
-    (m, c) with m the exponent in b2's own parameter.  Exponents are
-    rescaled with integer arithmetic only, and no coefficient is touched.
+    Every branch is put on x = s^den, den = lcm of the multiplicities;
+    turning s by zeta_den^v turns branch i into its conjugate v mod n_i.
+    A class of branches that agree so far is a representative at
+    conjugate 0 and members, each with its conjugates that still agree
+    with it.  At each s-exponent of the class, a member tries the
+    residues r = k*m mod n of those conjugates k in order of first
+    appearance, its coefficient rotated by zeta_n^r (not for r = 0) and
+    lifted with the representative's (:func:`_lifted`); as it is not 0,
+    the first residue that agrees ends the trials.  A member with no
+    residue that agrees, or with a term where the representative has
+    none or the other way round, parts there, at e: every pair across
+    the split has contact e.  The members left go on past e; those that
+    parted go on from e under the first of them, whose first agreeing
+    conjugate u re-bases the others' conjugates, k -> k - u mod n.  A
+    representative has the smallest index in its class, so one side of
+    every comparison stays unrotated and no field grows beyond a pair's.
+
+    Returns den, the contacts ``rows`` as int numerators over den (None on
+    the diagonal), the tree ``(levels, parents, leaves)`` and None.  Node
+    k has level ``levels[k]`` (None for a leaf) and parent ``parents[k]``
+    (-1 for the root), and comes after its parent; ``leaves[i]`` is
+    branch i's leaf.  A class that splits at its parent's level adds its
+    children to that node.  A member that still agrees past the last
+    s-exponent both it and its representative know stops the walk, which
+    then returns den, None, None and (that limit, the member's conjugates
+    left).
     """
-    n = math.lcm(b1.n, b2.n)
-    f1, f2 = n // b1.n, n // b2.n
-    s1 = {m * f1: a for m, a in b1.terms}
-    s2 = {term[0] * f2: term for term in b2.terms}
-    limit = min(b1.truncation * f1, b2.truncation * f2)
-    return n, limit, s1, s2
-
-
-def _walk(b1: PuiseuxBranch, b2: PuiseuxBranch, ks):
-    """Where b1 and the conjugates k in ``ks`` of b2 part, from one walk
-    over the pair's terms.
-
-    The s-exponents of both series (:func:`_aligned`) are walked once, up
-    to the last one both know, carrying the conjugates that still agree:
-    conjugate k drops out at the first s-exponent where it differs from
-    b1, its order over n = lcm(n1, n2).  At each exponent the residues
-    r = k*m mod n2 of the conjugates left are tried in order of first
-    appearance, b2's coefficient rotated by zeta_n2^r (not for r = 0) and
-    lifted with b1's into their smallest common field (:func:`_lifted`).
-    That coefficient is not 0, so at most one residue agrees: the first
-    that does ends the trials, and every conjugate of another drops out.
-    Returns n, the limit, the s-exponent at which the last conjugate drops
-    out (the contact for all conjugates, the order for one) or None, and
-    the conjugates that agree up to the limit, in the order of ``ks``.
-    """
-    n, limit, s1, s2 = _aligned(b1, b2)
-    left = list(ks)
-    for e in sorted(s1.keys() | s2.keys()):
-        if e > limit:
-            break
-        a, term = s1.get(e), s2.get(e)
-        if a is None or term is None:
-            return n, limit, e, []
-        m, c = term
-        # c is not 0, so at most one residue agrees: none is tried after it
-        hit = None
-        for r in dict.fromkeys([k * m % b2.n for k in left]):
-            x, y = _lifted(a, _turned(c, r, b2.n))
-            if x == y:
-                hit = r
-                break
-        left = [k for k in left if k * m % b2.n == hit]
-        if not left:
-            return n, limit, e, []
-    return n, limit, None, left
+    r = len(branches)
+    den = math.lcm(*[b.n for b in branches])
+    # s-exponents, each list ended by a sentinel past every term
+    exps = [[m * (den // b.n) for m, _ in b.terms] + [math.inf] for b in branches]
+    tops = [b.truncation * (den // b.n) for b in branches]
+    rows: list[list[int | None]] = [[None] * r for _ in range(r)]
+    levels: list[int | None] = []
+    parents: list[int] = []
+    leaves = [0] * r
+    # a class is its representative, its members (j, conjugates of j left),
+    # the number of terms walked (the same for each, as all agree so far)
+    # and its node (its parent's at first)
+    todo = [(0, [(j, range(b.n)) for j, b in enumerate(branches) if j], 0, -1)]
+    while todo:
+        rep, members, at, node = todo.pop()
+        own, terms, top = exps[rep], branches[rep].terms, tops[rep]
+        while members:
+            mine = own[at]
+            e = min([mine] + [exps[j][at] for j, _ in members])
+            stay, gone = [], []
+            for j, ks in members:
+                if min(top, tops[j]) < e:
+                    return den, None, None, (min(top, tops[j]), list(ks))
+                theirs = exps[j][at]
+                if theirs != e and mine != e:
+                    stay.append((j, ks))
+                elif theirs != mine:
+                    gone.append((j, ks))
+                else:
+                    b = branches[j]
+                    m, c = b.terms[at]
+                    for res in dict.fromkeys([k * m % b.n for k in ks]):
+                        x, y = _lifted(terms[at][1], _turned(c, res, b.n))
+                        if x == y:
+                            stay.append((j, [k for k in ks if k * m % b.n == res]))
+                            break
+                    else:
+                        gone.append((j, ks))
+            if gone:
+                if node < 0 or levels[node] != e:
+                    levels.append(e)
+                    parents.append(node)
+                    node = len(levels) - 1
+                for i in [rep] + [j for j, _ in stay]:
+                    for j, _ in gone:
+                        rows[i][j] = rows[j][i] = e
+                (p, base), *rest = gone
+                u = base[0]
+                rest = [(j, sorted([(k - u) % branches[j].n for k in ks])) for j, ks in rest]
+                todo.append((p, rest, at, node))
+            members = stay
+            if mine == e:
+                at += 1
+        # a class with no members left is a leaf
+        leaves[rep] = len(levels)
+        levels.append(None)
+        parents.append(node)
+    return den, rows, (tuple(levels), tuple(parents), tuple(leaves)), None
 
 
 def _inconclusive(n: int, limit: int) -> TruncationExceeded:
@@ -234,14 +271,16 @@ def difference_order(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0) -> Fracti
     """Order in x at which b1 and the k-th conjugate of b2 first differ.
 
     Both series are rescaled to the common parameter s with x = s^lcm(n1,n2);
-    the result is the smallest differing s-exponent divided by the lcm.
-    Raises TruncationExceeded, carrying the lower bound (limit+1)/lcm,
-    when every comparable term agrees.
+    the result is the first s-exponent of :func:`difference_series` divided
+    by the lcm, when both branches know it.  Raises TruncationExceeded,
+    carrying the lower bound (limit+1)/lcm, when every comparable term
+    agrees.
     """
-    n, limit, e, _ = _walk(b1, b2, (k,))
-    if e is None:
-        raise _inconclusive(n, limit)
-    return Fraction(e, n)
+    n, terms = difference_series(b1, b2, k)
+    limit = min(b1.truncation * (n // b1.n), b2.truncation * (n // b2.n))
+    if terms and terms[0][0] <= limit:
+        return Fraction(terms[0][0], n)
+    raise _inconclusive(n, limit)
 
 
 _ABSENT = CyclotomicNumber.zero(1)
@@ -251,15 +290,18 @@ def _differences(b1: PuiseuxBranch, b2: PuiseuxBranch, ks):
     """b1 minus each conjugate k in ``ks`` of b2, from one walk over the
     pair's terms.
 
-    The s-exponents of both series (:func:`_aligned`) are walked once.
-    At each one the two coefficients are lifted once into the smallest
-    field that holds both and zeta_n2 (:func:`_lifted`; a missing one
-    counts as 0 in Q(zeta_1)), and one difference is taken per residue
-    k*m mod n2 among ``ks``; conjugates with the same residue share it.
-    Returns one :func:`difference_series` value (n, terms) per k in
-    ``ks``.
+    Both series are put on the common parameter s, x = s^n with n =
+    lcm(n1, n2), rescaling exponents only, and their s-exponents are
+    walked once.  At each one the two coefficients are lifted once into
+    the smallest field that holds both and zeta_n2 (:func:`_lifted`; a
+    missing one counts as 0 in Q(zeta_1)), and one difference is taken per
+    residue k*m mod n2 among ``ks``; conjugates with the same residue
+    share it.  Returns one :func:`difference_series` value (n, terms) per
+    k in ``ks``.
     """
-    n, _, s1, s2 = _aligned(b1, b2)
+    n = math.lcm(b1.n, b2.n)
+    s1 = {m * (n // b1.n): a for m, a in b1.terms}
+    s2 = {term[0] * (n // b2.n): term for term in b2.terms}
     series = [[] for _ in ks]
     for e in sorted(s1.keys() | s2.keys()):
         m, c = s2.get(e, (0, _ABSENT))
@@ -284,8 +326,8 @@ def difference_series(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0):
     counts as 0 in Q(zeta_1)).  Every known term of either branch takes
     part, whatever the other's truncation; terms whose coefficients
     cancel exactly are dropped, so an empty series means the two agree in
-    every known term.  This is the term walk of :func:`difference_order`
-    without its early exit, for one conjugate of :func:`_differences`.
+    every known term.  :func:`difference_order` reads its first term.
+    This is one conjugate of :func:`_differences`.
     """
     return _differences(b1, b2, (k,))[0]
 
@@ -296,17 +338,22 @@ class CurveGerm:
 
     Distinctness means no branch is a Newton-Puiseux conjugate of
     another: for every conjugation some pair of known terms must differ.
-    The walk that proves it (:func:`_walk`) finds each pair's contact,
-    kept in ``_contacts`` as ``(den, rows)``: int numerators over den =
-    lcm of the multiplicities, None on the diagonal.  The contact report
-    and the classifier read it.  ``_holder`` holds the classifier's
-    summary, built by :mod:`curvegerm.holder` on first use.  Both are
-    derived from the branches, so they stay out of ``__init__``,
-    ``repr``, ``==`` and ``hash``.
+    The walk that proves it (:func:`_contact_tree`) finds the germ's
+    contact tree, kept in ``_tree`` as ``(levels, parents, leaves)``, and
+    each pair's contact, kept in ``_contacts`` as ``(den, rows)``: int
+    numerators over den = lcm of the multiplicities, None on the
+    diagonal.  The contact report reads the contacts and the classifier
+    both.  When the walk cannot part some pair, the pairs are walked in
+    index order and the first that cannot be told apart is named.
+    ``_holder`` holds the classifier's summary, built by
+    :mod:`curvegerm.holder` on first use.  All three are derived from the
+    branches, so they stay out of ``__init__``, ``repr``, ``==`` and
+    ``hash``.
     """
 
     branches: tuple[PuiseuxBranch, ...]
     _contacts: tuple = field(init=False, repr=False, compare=False)
+    _tree: tuple = field(init=False, repr=False, compare=False)
     _holder: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -314,20 +361,18 @@ class CurveGerm:
         branches = self.branches
         if not branches:
             raise GermValidationError("a germ needs at least one branch")
-        r, den = len(branches), math.lcm(*(b.n for b in branches))
-        rows: list[list[int | None]] = [[None] * r for _ in range(r)]
-        for i, bi in enumerate(branches):
-            for j in range(i + 1, r):
-                bj = branches[j]
-                n, _, e, left = _walk(bi, bj, range(bj.n))
-                if left:
+        den, rows, tree, blocked = _contact_tree(branches)
+        if blocked:
+            for i, j in itertools.combinations(range(len(branches)), 2):
+                blocked = _contact_tree((branches[i], branches[j]))[3]
+                if blocked:
                     raise GermValidationError(
                         f"branches {i} and {j} cannot be told apart "
-                        f"(conjugation {left[0]} agrees within the known "
+                        f"(conjugation {blocked[1][0]} agrees within the known "
                         "terms): duplicate branch or insufficient truncation"
                     )
-                rows[i][j] = rows[j][i] = e * (den // n)
         object.__setattr__(self, "_contacts", (den, tuple([tuple(row) for row in rows])))
+        object.__setattr__(self, "_tree", tree)
 
 
 def germ(branches) -> CurveGerm:

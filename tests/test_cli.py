@@ -374,19 +374,19 @@ def test_exit_code_5_on_an_internal_error(tmp_path, capsys, monkeypatch):
     from curvegerm import holder
 
     def broken(*args):
-        raise RuntimeError("contacts are not an ultrametric at branches (0, 1): internal bug")
+        raise RuntimeError("contact trees with equal keys failed to match: internal bug")
 
-    monkeypatch.setattr(holder, "_contact_tree", broken)
+    monkeypatch.setattr(holder, "_keyed_tree", broken)
     a = write(tmp_path, "a.json", AXIS_AND_PARABOLA)
     b = write(tmp_path, "b.json", AXIS_AND_CUBIC)
     code, payload = run_json(capsys, ["classify", a, b])
     assert code == 5
     assert payload == {
         "error_kind": "internal",
-        "message": "contacts are not an ultrametric at branches (0, 1): internal bug",
+        "message": "contact trees with equal keys failed to match: internal bug",
     }
     assert cli.main(["classify", a, b]) == 5
-    assert capsys.readouterr().err.startswith("error (internal): contacts are not")
+    assert capsys.readouterr().err.startswith("error (internal): contact trees with")
 
 
 def test_exit_code_5_on_a_tampered_contact(tmp_path, capsys, monkeypatch):
@@ -535,9 +535,9 @@ def test_classes_exit_codes(tmp_path, capsys, monkeypatch):
     from curvegerm import holder
 
     def broken(*args):
-        raise RuntimeError("contacts are not an ultrametric at branches (0, 1): internal bug")
+        raise RuntimeError("contact trees with equal keys failed to match: internal bug")
 
-    monkeypatch.setattr(holder, "_contact_tree", broken)
+    monkeypatch.setattr(holder, "_keyed_tree", broken)
     code, payload = run_json(capsys, ["classes", write(tmp_path, "two.json", AXIS_AND_PARABOLA)])
     assert (code, payload["error_kind"]) == (5, "internal")
 

@@ -24,7 +24,7 @@ from curvegerm import (
     zeta,
 )
 from curvegerm.contact import _noether
-from curvegerm.invariants import characteristic_data
+from curvegerm.invariants import _steps, characteristic_data
 from curvegerm.puiseux import ConsistencyError
 
 DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -370,7 +370,9 @@ def test_intersection_numbers_equal_the_conjugate_sum(generated_germs):
             expected = conjugate_sum(bi, bj)
             assert inter[i][j] == intersection_multiplicity(bi, bj) == expected, (bi, bj)
             # Noether's formula read from either branch's exponents
-            assert _noether(bi, bj.n, rows[i][j], den) == _noether(bj, bi.n, rows[i][j], den)
+            p = rows[i][j]
+            from_i = _noether(bi.n, _steps(bi), bj.n, p, den)
+            assert from_i == _noether(bj.n, _steps(bj), bi.n, p, den)
             pairs += 1
     assert pairs >= 300 and len(demos) == 8, pairs
 

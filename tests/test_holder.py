@@ -25,8 +25,8 @@ from curvegerm import (
     load_germ,
     pair_obstruction,
 )
-from curvegerm import holder
-from curvegerm.holder import FORMAL_SMOOTH_PAIR, _contact_tree, _summary
+from curvegerm import holder, puiseux
+from curvegerm.holder import FORMAL_SMOOTH_PAIR, _keyed_tree, _summary
 from curvegerm.puiseux import ConsistencyError
 
 DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -261,44 +261,24 @@ def test_classify_lists_one_obstruction_per_distinct_value_pair():
     assert (one_four["first"], one_four["second"], one_four["count"]) == ([0, 1], [1, 2], 812)
 
 
-def test_contact_tree_rejects_a_non_ultrametric_matrix():
-    breaks = [
-        # at the root: the pivot 0 puts 0 and 1 above level 1, 2 below
-        ((None, 2, 1), (2, None, 2), (1, 2, None)),
-        # at a deeper node: the root splits {0, 1, 2} from 3 at level 1;
-        # inside, the pivot 0 gives level 2 and puts 0 and 1 above it, but
-        # contact(1, 2) is 3
-        ((None, 3, 2, 1), (3, None, 3, 1), (2, 3, None, 1), (1, 1, 1, None)),
-    ]
-    for contact in breaks:
-        with pytest.raises(RuntimeError) as raised:
-            _contact_tree(contact, 1, [(1,)] * len(contact))
-        assert str(raised.value) == (
-            "contacts are not an ultrametric at branches (1, 2): internal bug"
-        )
-
-
-class CountingRow(list):
-    """A matrix row that counts its entry reads."""
-
-    reads = 0
-
-    def __getitem__(self, j):
-        CountingRow.reads += 1
-        return super().__getitem__(j)
-
-
 def caterpillar(r):
-    # contact(i, j) = min(i, j) + 1: every node splits one leaf off
-    return [[None if i == j else min(i, j) + 1 for j in range(r)] for i in range(r)]
+    # the smooth chain: branch k is y = x^2 + ... + x^(k+2), truncation k + 4,
+    # so contact(i, j) = min(i, j) + 3 and every node splits one leaf off
+    branches = [branch(1, [(m, 1) for m in range(2, k + 3)], truncation=k + 4) for k in range(r)]
+    return branches, [[None if i == j else min(i, j) + 3 for j in range(r)] for i in range(r)]
 
 
 def balanced(r):
+    # smooth branches that first differ at x^level, where the balanced split
+    # of their index range parts them
+    terms = [[] for _ in range(r)]
     contact = [[None] * r for _ in range(r)]
 
     def split(lo, hi, level):
         if hi - lo > 1:
             mid = (lo + hi) // 2
+            for i in range(lo, hi):
+                terms[i].append((level, 1 if i < mid else 2))
             for i in range(lo, mid):
                 for j in range(mid, hi):
                     contact[i][j] = contact[j][i] = level
@@ -306,19 +286,22 @@ def balanced(r):
             split(mid, hi, level + 1)
 
     split(0, r, 1)
-    return contact
+    return [branch(1, t, truncation=12) for t in terms], contact
 
 
 @pytest.mark.parametrize("make, depth", [(caterpillar, 300), (balanced, 10)])
-def test_contact_tree_reads_at_most_four_r_squared_entries(make, depth):
-    # the build that formed every pair list at every level read about
-    # r**3 / 6 entries of the caterpillar
+def test_contact_tree_reads_at_most_four_r_squared_entries(make, depth, monkeypatch):
+    # the walk that validates the germ builds its tree from at most r**2
+    # coefficient comparisons; one walk per branch pair made about r**3 / 6
+    # on the caterpillar
     r = 300
-    matrix = make(r)
-    CountingRow.reads = 0
-    keys, parents, leaves = _contact_tree([CountingRow(row) for row in matrix], 1, [(1,)] * r)
-    assert CountingRow.reads <= 4 * r * r
-    assert len(keys) == len(parents) == 2 * r - 1
+    branches, contact = make(r)
+    lifted, calls = puiseux._lifted, []
+    monkeypatch.setattr(puiseux, "_lifted", lambda *args: calls.append(args) or lifted(*args))
+    g = germ(branches)
+    assert len(calls) <= r * r
+    levels, parents, leaves = g._tree
+    assert len(levels) == len(parents) == 2 * r - 1
     paths = []
     for node in leaves:
         path = []
@@ -328,21 +311,22 @@ def test_contact_tree_reads_at_most_four_r_squared_entries(make, depth):
         paths.append(path[::-1])
     assert max(len(path) for path in paths) == depth
     for i, j in itertools.combinations(range(0, r, 7), 2):
-        # the deepest common node of two root paths is labelled by their contact
+        # the deepest common node of two root paths is at their contact
         common = [a for a, b in zip(paths[i], paths[j]) if a == b]
-        assert keys[common[-1]][0] == (matrix[i][j], 1)
+        assert levels[common[-1]] == contact[i][j] == g._contacts[1][i][j]
 
 
 def test_key_is_the_canonical_tree():
-    chain = caterpillar(4)
-    key = _contact_tree(chain, 2, [(1,), (2, 3), (1,), (2, 5)])[0][0]
+    # contacts min(i, j) + 1 over den 2: a node splits one leaf off at each
+    # of the levels 1/2, 1 and 3/2
+    chain = ((1, None, 2, None, 3, None, None), (-1, 0, 0, 2, 2, 4, 4), (1, 3, 5, 6))
+    key = _keyed_tree(chain, 2, [(1,), (2, 3), (1,), (2, 5)])[0][0]
     inner = ((3, 2), ((1,), (2, 5)), ())
     assert key == ((1, 2), ((1,),), (((1, 1), ((2, 3),), (inner,)),))
-    # contacts over another denominator and the branches listed in another
-    # order give the same key
-    order = [3, 1, 0, 2]
-    scaled = [[None if chain[a][b] is None else 3 * chain[a][b] for b in order] for a in order]
-    again = _contact_tree(scaled, 6, [(2, 5), (2, 3), (1,), (1,)])[0][0]
+    # the same tree over den 6, its branches listed in the order 3, 1, 0, 2
+    # and its nodes numbered otherwise, has the same key
+    scaled = ((3, 6, 9, None, None, None, None), (-1, 0, 1, 2, 1, 0, 2), (3, 4, 5, 6))
+    again = _keyed_tree(scaled, 6, [(2, 5), (2, 3), (1,), (1,)])[0][0]
     assert again == key
 
 

@@ -23,9 +23,9 @@ from curvegerm import (
     parse_germ,
     zeta,
 )
-from curvegerm import cyclotomic
+from curvegerm import cyclotomic, puiseux
 from curvegerm.cyclotomic import field_degree
-from curvegerm.puiseux import ConsistencyError, _walk, difference_series
+from curvegerm.puiseux import ConsistencyError, difference_series
 
 
 def test_parse_single_cusp():
@@ -551,24 +551,130 @@ def test_pair_walk_rotates_nothing_once_residue_zero_agrees(monkeypatch):
 
 def test_pair_walk_orders_are_the_first_exponents_of_the_difference_series(generated_germs):
     # difference_series walks every known term and drops none that differs,
-    # so its first exponent is where the walk of one conjugate must stop,
-    # when both know it; the walk over every conjugate stops at the largest
+    # so its first exponent is where conjugate k parts from b1, when both
+    # know it: the contact is the largest of these, and a conjugate whose
+    # difference has no term within both truncations blocks it
     checked = 0
     for _, g, _ in generated_germs:
         for b1, b2 in itertools.product(g.branches, repeat=2):
-            orders = []
+            n = math.lcm(b1.n, b2.n)
+            limit = min(b1.truncation * n // b1.n, b2.truncation * n // b2.n)
+            orders, blocked = [], []
             for k in range(b2.n):
-                n, limit, order, left = _walk(b1, b2, (k,))
-                assert limit == min(b1.truncation * n // b1.n, b2.truncation * n // b2.n)
                 _, terms = difference_series(b1, b2, k)
-                first = terms[0][0] if terms else None
-                if first is not None and first <= limit:
-                    assert (order, left) == (first, []), (b1, b2, k)
+                if terms and terms[0][0] <= limit:
+                    orders.append(terms[0][0])
                     checked += 1
                 else:
-                    assert (order, left) == (None, [k]), (b1, b2, k)
-                orders.append(order)
-            blocked = [k for k, order in enumerate(orders) if order is None]
-            top = None if blocked else max(orders)
-            assert _walk(b1, b2, range(b2.n)) == (n, limit, top, blocked), (b1, b2)
+                    blocked.append(k)
+            if blocked:
+                message = (
+                    f"contact inconclusive: conjugation(s) {', '.join(map(str, blocked))} "
+                    "agree within the known terms"
+                )
+                expected = ("blocked", message, Fraction(limit + 1, n))
+                assert _outcome(contact, b1, b2) == expected, (b1, b2)
+            else:
+                assert contact(b1, b2) == Fraction(max(orders), n), (b1, b2)
     assert checked >= 1000, checked
+
+
+def _conjugate_heavy_germ(rng):
+    """Two to seven branches, most of them conjugates of one or two shared
+    series in Q(zeta_N), N from 3 to 6, some on a multiple of the series'
+    multiplicity (at most 6), most cut short, perturbed in one term or
+    given an extra term, each with a short truncation, and some repeated,
+    so that pairs agree under nontrivial conjugations for several terms or
+    run into a truncation."""
+    order = rng.randint(3, 6)
+    stems = []
+    for _ in range(rng.randint(1, 2)):
+        n = rng.randint(1, 6)
+        exps = sorted(rng.sample(range(n, 3 * n + 4), rng.randint(2, 5)))
+        stems.append(branch(n, [(m, _dense_coefficient(rng, order)) for m in exps]))
+    branches = []
+    for _ in range(rng.randint(2, 7)):
+        if branches and rng.random() < 0.05:
+            branches.append(rng.choice(branches))
+            continue
+        stem = conjugate(rng.choice(stems), rng.randrange(6))
+        scale = rng.choice([1, 1, 2, 3]) if stem.n <= 3 else 1
+        n = stem.n * scale if stem.n * scale <= 6 else stem.n
+        terms = {m * (n // stem.n): c for m, c in stem.terms}
+        for _ in range(rng.randint(0, len(terms) - 1) if rng.random() < 0.3 else 0):
+            del terms[max(terms)]
+        if rng.random() < 0.5:
+            m = rng.choice(sorted(terms))
+            terms[m] = terms[m] + _dense_coefficient(rng, order).lift(terms[m].order)
+            if terms[m].is_zero():
+                del terms[m]
+        if rng.random() < 0.5:
+            terms[max(terms, default=n) + rng.randint(1, n)] = _dense_coefficient(rng, order)
+        top = max(terms, default=n)
+        branches.append(PuiseuxBranch(n, tuple(sorted(terms.items())), top + rng.randint(0, n)))
+    return branches
+
+
+def test_germ_walk_matches_the_per_conjugate_oracle():
+    # the germ's one walk against the oracle on every pair: the same
+    # contacts, the same first pair that cannot be told apart with its
+    # smallest agreeing conjugation, and a tree whose deepest common node
+    # of two leaves is at their contact
+    rng = random.Random(2407)
+    built = rejected = deep = 0
+    for _ in range(400):
+        branches = _conjugate_heavy_germ(rng)
+        r = len(branches)
+        contacts, first_blocked = {}, None
+        for i, j in itertools.combinations(range(r), 2):
+            orders = [_outcome(_oracle_difference_order, branches[i], branches[j], k)
+                      for k in range(branches[j].n)]
+            left = [k for k, v in enumerate(orders) if isinstance(v, tuple)]
+            if left and first_blocked is None:
+                first_blocked = (i, j, left[0])
+            contacts[i, j] = None if left else max(orders)
+        if first_blocked is not None:
+            i, j, k = first_blocked
+            with pytest.raises(GermValidationError) as raised:
+                germ(branches)
+            assert str(raised.value) == (
+                f"branches {i} and {j} cannot be told apart (conjugation {k} agrees "
+                "within the known terms): duplicate branch or insufficient truncation"
+            ), branches
+            rejected += 1
+            continue
+        g = germ(branches)
+        den, rows = g._contacts
+        levels, parents, leaves = g._tree
+        paths = []
+        for node in leaves:
+            path = []
+            while node >= 0:
+                path.append(node)
+                node = parents[node]
+            paths.append(path[::-1])
+        for (i, j), value in contacts.items():
+            assert Fraction(rows[i][j], den) == value and rows[j][i] == rows[i][j], branches
+            common = [a for a, b in zip(paths[i], paths[j]) if a == b]
+            assert levels[common[-1]] == rows[i][j], branches
+        assert all(rows[i][i] is None for i in range(r))
+        built += 1
+        deep += max(len(path) for path in paths) > 3
+    assert built >= 100 and rejected >= 100 and deep >= 20, (built, rejected, deep)
+
+
+def test_chain_germ_compares_each_pair_of_branches_once(monkeypatch):
+    # the smooth chain of r = 200 branches, branch k being y = x^2 + ... +
+    # x^(k+1) with truncation k + 3: each pair shares the prefix of the
+    # shorter branch, which one walk per pair read again for every partner,
+    # 1,333,300 coefficient comparisons; the germ's one walk compares each
+    # member of a class with its representative once per shared term, and
+    # every class parts at its first new term
+    r = 200
+    branches = [branch(1, [(m, 1) for m in range(2, k + 2)], truncation=k + 3)
+                for k in range(1, r + 1)]
+    lifted, calls = puiseux._lifted, []
+    monkeypatch.setattr(puiseux, "_lifted", lambda *args: calls.append(args) or lifted(*args))
+    g = germ(branches)
+    assert len(calls) == r * (r - 1) // 2 < 100_000
+    assert g._contacts[1][0][r - 1] == 3 and g._contacts[1][r - 2][r - 1] == r + 1
