@@ -69,7 +69,7 @@ def contact(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
     """
     n, rows, _, blocked = _contact_tree((b1, b2))
     if blocked:
-        limit, left = blocked
+        limit, left, _, _ = blocked
         raise TruncationExceeded(
             f"contact inconclusive: conjugation(s) {', '.join(map(str, left))} agree "
             "within the known terms",

@@ -170,7 +170,8 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, order: int, value) -> CyclotomicNumber:
-        value = Fraction(value)
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
         nums = (value.numerator,) + (0,) * (field_degree(order) - 1)
         return _canonical(order, value.denominator, nums)
 

@@ -22,11 +22,11 @@ pairwise contacts is the complete topological invariant of a germ, so
 the tree is a property of each germ alone; the walk that validates the
 germ builds it (``CurveGerm._tree``).  Each germ keeps, built once on
 first use, a summary that no partner changes: its branches' marks, its
-contact matrix, and its contact tree keyed bottom-up with a canonical
-key, a nested tuple in the manner of Aho, Hopcroft and Ullman (see
-:func:`holder_key`), and the same kind of key on every node; the groups
-of its marks and of its contacts join it the first time a distinct
-verdict reads them.  Two germs are equivalent exactly when
+contact matrix, and its contact tree with a canonical key on every
+node, one flat tuple in the manner of Aho, Hopcroft and Ullman (see
+:func:`holder_key`) that compares without recursion at any depth; the
+groups of its marks and of its contacts join it the first time a
+distinct verdict reads them.  Two germs are equivalent exactly when
 their keys are equal; the bijection returned is then the one a search
 over all r! bijections finds first in lexicographic order, read off the
 two trees by climbing from leaf pairs through nodes of equal keys.
@@ -295,33 +295,34 @@ class HolderVerdict:
 
 
 def _keyed_tree(tree, den: int, betas):
-    """The germ's contact tree with a key per node, built bottom-up.
+    """The germ's contact tree with a flat key per node, built bottom-up.
 
     ``tree`` is the germ's ``(levels, parents, leaves)``, its levels int
     numerators over ``den``; every node comes after its parent.  Returns
-    ``(keys, parents, leaves)``.  A leaf's key is its branch's beta; an
-    inner node's key is (its contact level as the int pair (numerator,
-    denominator) in lowest terms, the sorted betas of its leaf children,
-    the sorted keys of its inner children).  Two nodes have equal keys
-    exactly when their subtrees are isomorphic, and ``keys[0]`` is the
-    germ's :func:`holder_key`.
+    ``(keys, parents, leaves)``.  A leaf's key is ``(beta,)``; an inner
+    node's key is its children's keys, sorted and concatenated, with its
+    contact level as the int pair (numerator, denominator) in lowest
+    terms between each two neighbours, so the keys cost the sum of the
+    subtree sizes.  A child's level is above its parent's, so splitting
+    at the smallest level gives the children back: equal keys mean
+    isomorphic subtrees, and ``keys[0]`` is the germ's :func:`holder_key`.
     """
     levels, parents, leaves = tree
     keys = list(levels)
     for i, node in enumerate(leaves):
-        keys[node] = betas[i]
-    # the keys of each node's leaf children and of its inner children
-    below = [([], []) for _ in keys]
+        keys[node] = (betas[i],)
+    below = [[] for _ in keys]
     for node in range(len(keys) - 1, -1, -1):
         level = levels[node]
         if level is not None:
-            leaf_keys, inner_keys = below[node]
-            leaf_keys.sort()
-            inner_keys.sort()
+            children = sorted(below[node])
             g = math.gcd(level, den)
-            keys[node] = ((level // g, den // g), tuple(leaf_keys), tuple(inner_keys))
+            flat = list(children[0])
+            for child in children[1:]:
+                flat += ((level // g, den // g), *child)
+            keys[node] = tuple(flat)
         if parents[node] >= 0:
-            below[parents[node]][level is not None].append(keys[node])
+            below[parents[node]].append(keys[node])
     return tuple(keys), parents, leaves
 
 
@@ -419,13 +420,14 @@ def _summary(g: CurveGerm) -> _Summary:
 
 
 def holder_key(g: CurveGerm):
-    """The germ's Holder class as a canonical nested tuple, built once.
+    """The germ's Holder class as a canonical flat tuple, built once.
 
-    The key is the germ's contact tree: a leaf is its branch's beta, and
-    an inner node is (its contact level as the int pair (numerator,
-    denominator) in lowest terms, the sorted betas of its leaf children,
-    the sorted keys of its inner children).  Int labels keep comparing
-    and hashing keys in C.
+    The key is the germ's contact tree (:func:`_keyed_tree`): a leaf is
+    ``(beta,)``, and an inner node is its children's keys, sorted and
+    concatenated, with its contact level as the int pair (numerator,
+    denominator) in lowest terms between each two neighbours.  Betas sit
+    at even positions and levels at odd ones, so keys compare and hash
+    element by element in C, without recursion, at any depth.
     Two germs have equal keys exactly when some bijection of branches
     keeps every characteristic exponent and every pairwise contact, that
     is when :func:`classify` finds them equivalent; by the paper's
@@ -435,9 +437,9 @@ def holder_key(g: CurveGerm):
 
     >>> from curvegerm import branch, germ
     >>> holder_key(germ([branch(2, [(3, 1)])]))
-    (2, 3)
+    ((2, 3),)
     >>> holder_key(germ([branch(2, [(5, 1)]), branch(2, [(3, 1)])]))
-    ((3, 2), ((2, 3), (2, 5)), ())
+    ((2, 3), (3, 2), (2, 5))
     """
     return _summary(g).key
 

@@ -18,13 +18,12 @@ every root-of-unity phenomenon conjugation can produce.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from curvegerm.cyclotomic import CyclotomicNumber, _reduced
+from curvegerm.cyclotomic import CyclotomicNumber, _canonical, _reduced
 
 
 class GermValidationError(ValueError):
@@ -197,7 +196,7 @@ def _contact_tree(branches):
     children to that node.  A member that still agrees past the last
     s-exponent both it and its representative know stops the walk, which
     then returns den, None, None and (that limit, the member's conjugates
-    left).
+    left in increasing order, the representative, the member).
     """
     r = len(branches)
     den = math.lcm(*[b.n for b in branches])
@@ -220,8 +219,8 @@ def _contact_tree(branches):
             e = min([mine] + [exps[j][at] for j, _ in members])
             stay, gone = [], []
             for j, ks in members:
-                if min(top, tops[j]) < e:
-                    return den, None, None, (min(top, tops[j]), list(ks))
+                if top < e or tops[j] < e:
+                    return den, None, None, (min(top, tops[j]), list(ks), rep, j)
                 theirs = exps[j][at]
                 if theirs != e and mine != e:
                     stay.append((j, ks))
@@ -247,7 +246,8 @@ def _contact_tree(branches):
                         rows[i][j] = rows[j][i] = e
                 (p, base), *rest = gone
                 u = base[0]
-                rest = [(j, sorted([(k - u) % branches[j].n for k in ks])) for j, ks in rest]
+                if u:
+                    rest = [(j, sorted([(k - u) % branches[j].n for k in ks])) for j, ks in rest]
                 todo.append((p, rest, at, node))
             members = stay
             if mine == e:
@@ -343,8 +343,8 @@ class CurveGerm:
     each pair's contact, kept in ``_contacts`` as ``(den, rows)``: int
     numerators over den = lcm of the multiplicities, None on the
     diagonal.  The contact report reads the contacts and the classifier
-    both.  When the walk cannot part some pair, the pairs are walked in
-    index order and the first that cannot be told apart is named.
+    both.  When the walk cannot part some pair, it names the first such
+    pair it meets, with its smallest agreeing conjugation.
     ``_holder`` holds the classifier's summary, built by
     :mod:`curvegerm.holder` on first use.  All three are derived from the
     branches, so they stay out of ``__init__``, ``repr``, ``==`` and
@@ -363,14 +363,11 @@ class CurveGerm:
             raise GermValidationError("a germ needs at least one branch")
         den, rows, tree, blocked = _contact_tree(branches)
         if blocked:
-            for i, j in itertools.combinations(range(len(branches)), 2):
-                blocked = _contact_tree((branches[i], branches[j]))[3]
-                if blocked:
-                    raise GermValidationError(
-                        f"branches {i} and {j} cannot be told apart "
-                        f"(conjugation {blocked[1][0]} agrees within the known "
-                        "terms): duplicate branch or insufficient truncation"
-                    )
+            _, ks, i, j = blocked
+            raise GermValidationError(
+                f"branches {i} and {j} cannot be told apart (conjugation {ks[0]} "
+                "agrees within the known terms): duplicate branch or insufficient truncation"
+            )
         object.__setattr__(self, "_contacts", (den, tuple([tuple(row) for row in rows])))
         object.__setattr__(self, "_tree", tree)
 
@@ -405,11 +402,11 @@ def _require(cond, message):
         raise GermValidationError(message)
 
 
-def _rational(node) -> Fraction:
+def _rational(node) -> int | Fraction:
     if isinstance(node, bool):
         raise GermValidationError(f"not a rational number: {node!r}")
     if isinstance(node, int):
-        return Fraction(node)
+        return node
     if isinstance(node, str):
         try:
             return Fraction(node)
@@ -418,7 +415,7 @@ def _rational(node) -> Fraction:
     raise GermValidationError(f"rationals must be strings like '3/4', got {node!r}")
 
 
-def _coefficient(node, declared_order: int) -> Fraction | CyclotomicNumber:
+def _coefficient(node, declared_order: int) -> int | Fraction | CyclotomicNumber:
     _require(
         isinstance(node, dict) and len(node) == 1,
         "a coefficient is an object with exactly one of 'rational' or 'cyclotomic'",
@@ -434,7 +431,7 @@ def _coefficient(node, declared_order: int) -> Fraction | CyclotomicNumber:
                 f"bad cyclotomic entry {entry!r}: expected [\"p/q\", k]",
             )
         c = _reduced(declared_order, [(k, _rational(q)) for q, k in entries])
-        return c.coeffs[0] if c.is_rational() else c
+        return _canonical(1, c.den, c.nums[:1]) if c.is_rational() else c
     raise GermValidationError(f"unknown coefficient form {sorted(node)!r}")
 
 

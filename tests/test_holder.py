@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import pathlib
 import random
@@ -21,11 +22,13 @@ from curvegerm import (
     contact_obstruction,
     contact_report,
     germ,
+    germ_to_dict,
+    holder_key,
     lipschitz_normal_form,
     load_germ,
     pair_obstruction,
 )
-from curvegerm import holder, puiseux
+from curvegerm import cli, holder, puiseux
 from curvegerm.holder import FORMAL_SMOOTH_PAIR, _keyed_tree, _summary
 from curvegerm.puiseux import ConsistencyError
 
@@ -321,13 +324,51 @@ def test_key_is_the_canonical_tree():
     # of the levels 1/2, 1 and 3/2
     chain = ((1, None, 2, None, 3, None, None), (-1, 0, 0, 2, 2, 4, 4), (1, 3, 5, 6))
     key = _keyed_tree(chain, 2, [(1,), (2, 3), (1,), (2, 5)])[0][0]
-    inner = ((3, 2), ((1,), (2, 5)), ())
-    assert key == ((1, 2), ((1,),), (((1, 1), ((2, 3),), (inner,)),))
+    # flat: each node's sorted child keys, its level between neighbours
+    inner = ((1,), (3, 2), (2, 5))
+    assert key == ((1,), (1, 2)) + inner + ((1, 1), (2, 3))
     # the same tree over den 6, its branches listed in the order 3, 1, 0, 2
     # and its nodes numbered otherwise, has the same key
     scaled = ((3, 6, 9, None, None, None, None), (-1, 0, 1, 2, 1, 0, 2), (3, 4, 5, 6))
     again = _keyed_tree(scaled, 6, [(2, 5), (2, 3), (1,), (1,)])[0][0]
     assert again == key
+
+
+def one_term_caterpillar(r):
+    # branch k is y = x^(k+1), k = 1..r: contact(i, j) = min(i, j) + 2, so
+    # every node splits one leaf off and the tree has depth r - 1
+    return [branch(1, [(k + 1, 1)], truncation=r + 2) for k in range(1, r + 1)]
+
+
+def test_deep_caterpillar_classifies_against_its_reverse(tmp_path, capsys):
+    # a tree deeper than the interpreter's recursion limit allows for one
+    # nested tuple per node; flat keys compare without recursion
+    r = 600
+    branches = one_term_caterpillar(r)
+    g, h = germ(branches), germ(branches[::-1])
+    verdict = classify(g, h)
+    assert verdict.status == STATUS_EQUIVALENT
+    # the last two branches share the deepest node, so 0 and 1 of the
+    # reversed germ go to them in order
+    assert verdict.matching == tuple(range(r - 1, 1, -1)) + (0, 1)
+    paths = [str(tmp_path / "caterpillar.json"), str(tmp_path / "reversed.json")]
+    for path, built in zip(paths, (g, h)):
+        pathlib.Path(path).write_text(json.dumps(germ_to_dict(built)))
+    assert cli.main(["classes", *paths, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["classes"] == [paths]
+
+
+def test_sibling_deep_caterpillars_get_one_key_in_any_order():
+    # two caterpillars of depth 600 under one root, y = c*x + x^(k+1) for
+    # c in {1, 2}: sorting the root's children compares two deep keys
+    r = 600
+    branches = [branch(1, [(1, c), (k + 1, 1)], truncation=r + 2)
+                for c in (1, 2) for k in range(1, r + 1)]
+    shuffled = branches[:]
+    random.Random(26).shuffle(shuffled)
+    g, h = germ(branches), germ(shuffled)
+    assert holder_key(g) == holder_key(h)
+    assert classify(g, h).status == STATUS_EQUIVALENT
 
 
 def test_matching_tells_look_alike_clusters_apart_by_level():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -617,30 +618,35 @@ def _conjugate_heavy_germ(rng):
 
 def test_germ_walk_matches_the_per_conjugate_oracle():
     # the germ's one walk against the oracle on every pair: the same
-    # contacts, the same first pair that cannot be told apart with its
-    # smallest agreeing conjugation, and a tree whose deepest common node
-    # of two leaves is at their contact
+    # contacts, a rejection that names a pair the oracle cannot tell apart
+    # with its smallest agreeing conjugation, and a tree whose deepest
+    # common node of two leaves is at their contact
     rng = random.Random(2407)
     built = rejected = deep = 0
     for _ in range(400):
         branches = _conjugate_heavy_germ(rng)
         r = len(branches)
-        contacts, first_blocked = {}, None
+        contacts, blocked = {}, {}
         for i, j in itertools.combinations(range(r), 2):
             orders = [_outcome(_oracle_difference_order, branches[i], branches[j], k)
                       for k in range(branches[j].n)]
             left = [k for k, v in enumerate(orders) if isinstance(v, tuple)]
-            if left and first_blocked is None:
-                first_blocked = (i, j, left[0])
+            if left:
+                blocked[i, j] = left[0]
             contacts[i, j] = None if left else max(orders)
-        if first_blocked is not None:
-            i, j, k = first_blocked
+        if blocked:
             with pytest.raises(GermValidationError) as raised:
                 germ(branches)
-            assert str(raised.value) == (
-                f"branches {i} and {j} cannot be told apart (conjugation {k} agrees "
-                "within the known terms): duplicate branch or insufficient truncation"
-            ), branches
+            named = re.fullmatch(
+                r"branches (\d+) and (\d+) cannot be told apart \(conjugation (\d+) agrees "
+                r"within the known terms\): duplicate branch or insufficient truncation",
+                str(raised.value),
+            )
+            assert named, str(raised.value)
+            i, j, k = map(int, named.groups())
+            # the walk names the first such pair it meets; with only one,
+            # that is the first in index order
+            assert blocked.get((i, j)) == k, (str(raised.value), blocked, branches)
             rejected += 1
             continue
         g = germ(branches)
@@ -678,3 +684,40 @@ def test_chain_germ_compares_each_pair_of_branches_once(monkeypatch):
     g = germ(branches)
     assert len(calls) == r * (r - 1) // 2 < 100_000
     assert g._contacts[1][0][r - 1] == 3 and g._contacts[1][r - 2][r - 1] == r + 1
+
+
+def test_repeated_branch_is_named_without_walking_every_pair(monkeypatch):
+    # the same chain with its last branch listed twice: the germ's walk
+    # names the pair it cannot part, where walking every pair again to
+    # name it made 1,373,500 coefficient comparisons
+    r = 200
+    branches = [branch(1, [(m, 1) for m in range(2, k + 2)], truncation=k + 3)
+                for k in range(1, r + 1)]
+    lifted, calls = puiseux._lifted, []
+    monkeypatch.setattr(puiseux, "_lifted", lambda *args: calls.append(args) or lifted(*args))
+    with pytest.raises(GermValidationError) as raised:
+        germ(branches + branches[-1:])
+    assert str(raised.value) == (
+        f"branches {r - 1} and {r} cannot be told apart (conjugation 0 agrees within the "
+        "known terms): duplicate branch or insufficient truncation"
+    )
+    assert len(calls) <= 25_000
+
+
+@pytest.mark.parametrize("literal", ["1", 1], ids=["string", "int"])
+def test_parsing_makes_at_most_one_fraction_per_coefficient(literal, monkeypatch):
+    # the chain of r = 300 branches as a document: 45,150 coefficients,
+    # each read once into a Fraction when written as a string and never
+    # when written as a JSON int
+    r = 300
+    doc = {"branches": [
+        {"n": 1, "truncation": k + 3,
+         "terms": [{"exp": m, "coeff": {"rational": literal}} for m in range(2, k + 2)]}
+        for k in range(1, r + 1)
+    ]}
+    new, calls = Fraction.__new__, []
+    monkeypatch.setattr(Fraction, "__new__", lambda *args, **kw: calls.append(1) or new(*args, **kw))
+    g = germ_from_dict(doc)
+    coefficients = r * (r + 1) // 2
+    assert sum(len(b.terms) for b in g.branches) == coefficients
+    assert len(calls) <= (coefficients if literal == "1" else 0)
