@@ -13,7 +13,8 @@ Only exponents up to the contact are read, so a branch whose full
 characteristic data lies beyond its truncation still reports.  I is
 always a positive integer; that is checked, so truncation bugs fail
 loudly with ConsistencyError.  Fractions are made only for the values
-handed out: :func:`contact`, :class:`ContactReport` and its JSON.
+handed out, one per distinct contact: :func:`contact`,
+:class:`ContactReport` and its JSON.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from curvegerm.puiseux import (
     PuiseuxBranch,
     TruncationExceeded,
     _contact_tree,
-    _inconclusive,
 )
 
 
@@ -80,11 +80,11 @@ def contact(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
 
 
 def intersection_multiplicity(b1: PuiseuxBranch, b2: PuiseuxBranch) -> int:
-    """Local intersection number of two distinct branches at the origin."""
-    n, rows, _, blocked = _contact_tree((b1, b2))
-    if blocked:
-        raise _inconclusive(n, blocked[0])
-    return _noether(b1.n, _steps(b1), b2.n, rows[0][1], n)
+    """Local intersection number of two distinct branches at the origin:
+    Noether's formula at their :func:`contact`, whose TruncationExceeded
+    it passes on."""
+    c = contact(b1, b2)
+    return _noether(b1.n, _steps(b1), b2.n, c.numerator, c.denominator)
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,8 @@ class ContactReport:
     """Symmetric pairwise contact and intersection matrices of a germ.
 
     Diagonals are unset (None); contact entries are exact rationals in
-    units of ord_x and are always at least 1.
+    units of ord_x and are always at least 1.  The constructor proves
+    both matrices symmetric, then checks the bound once per unordered pair.
     """
 
     branch_count: int
@@ -110,9 +111,10 @@ class ContactReport:
                 for j in range(i + 1, r):
                     if mat[i][j] != mat[j][i]:
                         raise ConsistencyError(f"{name} matrix must be symmetric")
+        # symmetric, so the pairs above the diagonal are all the pairs
         for i in range(r):
-            for j in range(r):
-                if i != j and self.contact[i][j] < 1:
+            for j in range(i + 1, r):
+                if self.contact[i][j] < 1:
                     raise ConsistencyError(
                         f"contact[{i}][{j}] = {self.contact[i][j]} < 1; "
                         "branches do not share the parametrization form"
@@ -132,17 +134,19 @@ def contact_report(g: CurveGerm) -> ContactReport:
     """Fill both pairwise matrices for all distinct branch pairs of the germ.
 
     Reads the contacts that validated the germ; each is exact, so no
-    pair is compared again.  Each branch's gcd steps are taken once.
+    pair is compared again.  Each branch's gcd steps are taken once, and
+    each distinct contact becomes one Fraction, shared by its cells.
     """
     den, rows = g._contacts
     r = len(g.branches)
     steps = [list(_steps(b)) for b in g.branches]
+    fractions = {p: Fraction(p, den) for p in set().union(*rows) - {None}}
     cont: list[list[Fraction | None]] = [[None] * r for _ in range(r)]
     inter: list[list[int | None]] = [[None] * r for _ in range(r)]
     for i, bi in enumerate(g.branches):
         for j in range(i + 1, r):
             p = rows[i][j]
-            cont[i][j] = cont[j][i] = Fraction(p, den)
+            cont[i][j] = cont[j][i] = fractions[p]
             inter[i][j] = inter[j][i] = _noether(bi.n, steps[i], g.branches[j].n, p, den)
     return ContactReport(
         r,

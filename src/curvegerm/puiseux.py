@@ -415,13 +415,14 @@ def _rational(node) -> int | Fraction:
     raise GermValidationError(f"rationals must be strings like '3/4', got {node!r}")
 
 
-def _coefficient(node, declared_order: int) -> int | Fraction | CyclotomicNumber:
+def _coefficient(node, declared_order: int) -> CyclotomicNumber:
+    """The coefficient in Q(zeta_declared_order), or in Q(zeta_1) if rational."""
     _require(
         isinstance(node, dict) and len(node) == 1,
         "a coefficient is an object with exactly one of 'rational' or 'cyclotomic'",
     )
     if "rational" in node:
-        return _rational(node["rational"])
+        return CyclotomicNumber.from_rational(1, _rational(node["rational"]))
     if "cyclotomic" in node:
         entries = node["cyclotomic"]
         _require(isinstance(entries, list), "'cyclotomic' must be a list of [q, k] pairs")
@@ -436,7 +437,8 @@ def _coefficient(node, declared_order: int) -> int | Fraction | CyclotomicNumber
 
 
 def germ_from_dict(data) -> CurveGerm:
-    """Validate a parsed germ document and build the CurveGerm."""
+    """Check a parsed germ document's JSON shapes and build the CurveGerm;
+    :class:`PuiseuxBranch` checks each branch's numbers, under ``branch {idx}: ``."""
     _require(isinstance(data, dict), "germ document must be a JSON object")
     raw = data.get("branches")
     _require(isinstance(raw, list) and raw, "germ needs a non-empty 'branches' array")
@@ -457,11 +459,6 @@ def germ_from_dict(data) -> CurveGerm:
 
     branches = []
     for idx, node in enumerate(raw):
-        truncation = node.get("truncation")
-        _require(
-            _is_int(truncation) and truncation >= 1,
-            f"branch {idx}: 'truncation' must be a positive integer",
-        )
         raw_terms = node.get("terms", [])
         _require(isinstance(raw_terms, list), f"branch {idx}: 'terms' must be a list")
         terms = []
@@ -470,14 +467,9 @@ def germ_from_dict(data) -> CurveGerm:
                 isinstance(t, dict) and "exp" in t and "coeff" in t,
                 f"branch {idx}: each term needs 'exp' and 'coeff'",
             )
-            exp = t["exp"]
-            _require(
-                _is_int(exp) and exp >= 1,
-                f"branch {idx}: term exponent must be a positive integer",
-            )
-            terms.append((exp, _coefficient(t["coeff"], declared)))
+            terms.append((t["exp"], _coefficient(t["coeff"], declared)))
         try:
-            branches.append(branch(mults[idx], terms, truncation))
+            branches.append(PuiseuxBranch(mults[idx], tuple(terms), node.get("truncation")))
         except GermValidationError as exc:
             raise GermValidationError(f"branch {idx}: {exc}") from None
     return CurveGerm(tuple(branches))
