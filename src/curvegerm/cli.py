@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -87,6 +88,16 @@ def _grid_spec(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(
             f"bad grid spec {text!r} (expected r_max,r_min,count): {exc}"
         ) from None
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}: need a finite number >= 0")
+    return value
 
 
 def _single_branch(g, path):
@@ -266,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     numeric = argparse.ArgumentParser(add_help=False)
     numeric.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         default=0.1,
         metavar="T",
         help="tolerance for numeric agreement checks (default 0.1)",

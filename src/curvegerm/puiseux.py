@@ -167,7 +167,7 @@ def conjugate(b: PuiseuxBranch, k: int) -> PuiseuxBranch:
     return PuiseuxBranch(b.n, terms, b.truncation)
 
 
-def _contact_tree(branches):
+def _contact_tree(branches, conjugates=None):
     """The branches' contacts and contact tree (Kuo and Lu), from one walk
     over their terms.
 
@@ -197,6 +197,8 @@ def _contact_tree(branches):
     s-exponent both it and its representative know stops the walk, which
     then returns den, None, None and (that limit, the member's conjugates
     left in increasing order, the representative, the member).
+    ``conjugates`` (only for a pair; default every one) holds the second
+    branch to the listed conjugates, each in range(n).
     """
     r = len(branches)
     den = math.lcm(*[b.n for b in branches])
@@ -210,7 +212,7 @@ def _contact_tree(branches):
     # a class is its representative, its members (j, conjugates of j left),
     # the number of terms walked (the same for each, as all agree so far)
     # and its node (its parent's at first)
-    todo = [(0, [(j, range(b.n)) for j, b in enumerate(branches) if j], 0, -1)]
+    todo = [(0, [(j, conjugates or range(b.n)) for j, b in enumerate(branches) if j], 0, -1)]
     while todo:
         rep, members, at, node = todo.pop()
         own, terms, top = exps[rep], branches[rep].terms, tops[rep]
@@ -259,28 +261,23 @@ def _contact_tree(branches):
     return den, rows, (tuple(levels), tuple(parents), tuple(leaves)), None
 
 
-def _inconclusive(n: int, limit: int) -> TruncationExceeded:
-    """The outcome for a conjugate that agrees at every s-exponent up to limit."""
-    return TruncationExceeded(
-        f"series agree at every known exponent up to x^({limit}/{n})",
-        lower_bound=Fraction(limit + 1, n),
-    )
-
-
 def difference_order(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0) -> Fraction:
     """Order in x at which b1 and the k-th conjugate of b2 first differ.
 
-    Both series are rescaled to the common parameter s with x = s^lcm(n1,n2);
-    the result is the first s-exponent of :func:`difference_series` divided
-    by the lcm, when both branches know it.  Raises TruncationExceeded,
-    carrying the lower bound (limit+1)/lcm, when every comparable term
-    agrees.
+    This is the pair's walk (:func:`_contact_tree`) held to conjugate k,
+    on the common parameter s with x = s^lcm(n1, n2); it stops at the
+    first s-exponent where the two differ.  Raises TruncationExceeded,
+    carrying the lower bound (limit+1)/lcm, when every term up to the
+    shorter truncation agrees.
     """
-    n, terms = difference_series(b1, b2, k)
-    limit = min(b1.truncation * (n // b1.n), b2.truncation * (n // b2.n))
-    if terms and terms[0][0] <= limit:
-        return Fraction(terms[0][0], n)
-    raise _inconclusive(n, limit)
+    n, rows, _, blocked = _contact_tree((b1, b2), [k % b2.n])
+    if blocked:
+        limit = blocked[0]
+        raise TruncationExceeded(
+            f"series agree at every known exponent up to x^({limit}/{n})",
+            lower_bound=Fraction(limit + 1, n),
+        )
+    return Fraction(rows[0][1], n)
 
 
 _ABSENT = CyclotomicNumber.zero(1)
@@ -326,8 +323,7 @@ def difference_series(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0):
     counts as 0 in Q(zeta_1)).  Every known term of either branch takes
     part, whatever the other's truncation; terms whose coefficients
     cancel exactly are dropped, so an empty series means the two agree in
-    every known term.  :func:`difference_order` reads its first term.
-    This is one conjugate of :func:`_differences`.
+    every known term.  This is one conjugate of :func:`_differences`.
     """
     return _differences(b1, b2, (k,))[0]
 

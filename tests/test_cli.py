@@ -301,6 +301,32 @@ def test_non_finite_grid_bound_is_a_usage_error(tmp_path, capsys, spec):
     assert "need 0 < r_min < r_max < inf" in capsys.readouterr().err
 
 
+NUMERIC_COMMANDS = {"estimate": [], "check-prop1": ["--beta", "1.25"]}
+
+
+@pytest.mark.parametrize("command", sorted(NUMERIC_COMMANDS))
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_tolerance_outside_finite_non_negative_is_a_usage_error(tmp_path, capsys, command, value):
+    # --tolerance=V reaches the parser even for a value that starts with "-"
+    a = write(tmp_path, "a.json", AXIS)
+    b = write(tmp_path, "b.json", PARABOLA)
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, a, b, *NUMERIC_COMMANDS[command], f"--tolerance={value}", "--json"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad tolerance {value!r}: need a finite number >= 0" in captured.err
+
+
+@pytest.mark.parametrize("command", sorted(NUMERIC_COMMANDS))
+def test_zero_tolerance_is_accepted(tmp_path, capsys, command):
+    a = write(tmp_path, "a.json", AXIS)
+    b = write(tmp_path, "b.json", PARABOLA)
+    code, payload = run_json(capsys, [command, a, b, *NUMERIC_COMMANDS[command], "--tolerance=0"])
+    assert code == 0
+    assert payload["tolerance"] == 0.0
+
+
 def test_exit_code_4_on_out_of_range_grid(tmp_path, capsys):
     # an n=4 branch needs t-radii at most 0.5, i.e. x-radii at most 0.5^4
     a = write(tmp_path, "a.json", GENUS2)

@@ -11,10 +11,13 @@ import pathlib
 import random
 from fractions import Fraction
 
+import pytest
+
 from curvegerm import (
     BASELINE,
     STATUS_DISTINCT,
     STATUS_EQUIVALENT,
+    CyclotomicNumber,
     GermValidationError,
     PuiseuxBranch,
     characteristic_data,
@@ -29,6 +32,7 @@ from curvegerm import (
     intersection_multiplicity,
     lipschitz_normal_form,
     load_germ,
+    zeta,
 )
 
 DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -257,3 +261,104 @@ def test_key_does_not_change_under_the_normal_form(generated_germs):
             assert holder_key(normal) == holder_key(g)
             kept += 1
     assert kept >= 10, kept
+
+
+# --- changes of coordinates -------------------------------------------------
+#
+# Characteristic exponents, contacts and intersection numbers are analytic
+# invariants (Casas-Alvero, Singularities of Plane Curves, 2000), so every
+# answer of the library must survive (x, y) -> (mu^N * x, u*y + phi(x)).
+
+
+def _common(a, b):
+    """Cyclotomic numbers a and b lifted into one field."""
+    order = math.lcm(a.order, b.order)
+    return a.lift(order), b.lift(order)
+
+
+def transform(g, mu, u, phi):
+    """The image of g under (x, y) -> (mu^N * x, u*y + phi(x)).
+
+    N is the lcm of the multiplicities, mu a nonzero rational, u a nonzero
+    cyclotomic number and phi ((k, c_k), ...) with k >= 1.  On x = s^n,
+    s = mu^(N/n) * t, a term a_m t^m becomes u * a_m * mu^(-mN/n) s^m, and
+    c_k x^k adds c_k * mu^(-kN) s^(nk) where nk is within the truncation.
+    """
+    big = math.lcm(*[b.n for b in g.branches])
+    branches = []
+    for b in g.branches:
+        scale = Fraction(mu) ** -(big // b.n)
+        terms = {m: math.prod(_common(u, c)) * scale**m for m, c in b.terms}
+        for k, c in phi:
+            if b.n * k <= b.truncation:
+                known = terms.get(b.n * k, CyclotomicNumber.zero(1))
+                terms[b.n * k] = sum(_common(known, c * scale ** (b.n * k)))
+        kept = [(m, c) for m, c in sorted(terms.items()) if not c.is_zero()]
+        branches.append(PuiseuxBranch(b.n, tuple(kept), b.truncation))
+    return germ(branches)
+
+
+def _unit(rng):
+    """A nonzero rational, or one plus a primitive 3rd or 4th root of unity."""
+    q = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+    if rng.random() < 0.5:
+        return CyclotomicNumber.from_rational(1, q)
+    return zeta(rng.choice([3, 4])) + q
+
+
+def _random_maps(seed):
+    """Three seeded (mu, u, phi) for :func:`transform`."""
+    rng = random.Random(seed)
+    maps = []
+    for _ in range(3):
+        mu = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+        phi = tuple((k, _unit(rng)) for k in sorted(rng.sample(range(1, 5), rng.randint(0, 3))))
+        maps.append((mu, _unit(rng), phi))
+    return maps
+
+
+def _assert_same_answers(g, image):
+    assert [characteristic_data(b) for b in image.branches] == [
+        characteristic_data(b) for b in g.branches
+    ]
+    assert contact_report(image) == contact_report(g)
+    assert holder_key(image) == holder_key(g)
+    verdict = classify(g, image)
+    assert verdict.status == STATUS_EQUIVALENT
+    assert verdict.matching == tuple(range(len(g.branches)))
+
+
+def test_answers_do_not_change_under_a_change_of_coordinates(generated_germs):
+    germs = _generated_and_demo_germs(generated_germs)
+    moved = 0
+    for seed, g in enumerate(germs):
+        for mu, u, phi in _random_maps(seed):
+            image = transform(g, mu, u, phi)
+            _assert_same_answers(g, image)
+            moved += image != g
+    assert len(germs) == 88 and moved >= 250, moved
+
+
+def test_demo_verdicts_do_not_change_under_a_change_of_coordinates():
+    germs = [load_germ(path) for path in sorted(DEMO_DATA.glob("*.json"))]
+    maps = [_random_maps(100 + seed) for seed in range(len(germs))]
+    statuses = set()
+    for (g1, maps1), (g2, maps2) in itertools.product(zip(germs, maps), repeat=2):
+        expected = classify(g1, g2).to_dict()
+        for m1, m2 in zip(maps1, maps2[1:] + maps2[:1]):
+            assert classify(transform(g1, *m1), transform(g2, *m2)).to_dict() == expected
+        statuses.add(expected["status"])
+    assert len(germs) ** 2 == 64 and statuses == {STATUS_DISTINCT, STATUS_EQUIVALENT}
+
+
+def test_a_map_that_moves_a_characteristic_exponent_fails_the_properties():
+    # adding t^3 to y = t^5 on x = t^2 is no change of coordinates: beta_1
+    # moves from 5 to 3, and the properties above must see it
+    g = load_germ(DEMO_DATA / "cusp_2_5.json")
+    (b,) = transform(g, *_random_maps(0)[0]).branches
+    terms = sorted({**dict(b.terms), 3: CyclotomicNumber.one(1)}.items())
+    wrong = germ([PuiseuxBranch(b.n, tuple(terms), b.truncation)])
+    with pytest.raises(AssertionError):
+        _assert_same_answers(g, wrong)
+    assert characteristic_data(wrong.branches[0]).beta == (2, 3)
+    assert classify(g, wrong).status == STATUS_DISTINCT

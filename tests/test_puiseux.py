@@ -509,7 +509,11 @@ def _assert_walk_matches_the_oracle(b1, b2):
     return expected
 
 
-def test_pair_walk_matches_the_per_conjugate_oracle(generated_germs):
+def test_pair_walk_matches_the_per_conjugate_oracle(generated_germs, monkeypatch):
+    # every order is decided on the pair's walk, without a difference series
+    monkeypatch.setattr(
+        puiseux, "_differences", lambda *args: pytest.fail("formed a difference series")
+    )
     rng = random.Random(31337)
     outcomes = []
     for _ in range(150):
@@ -519,6 +523,17 @@ def test_pair_walk_matches_the_per_conjugate_oracle(generated_germs):
             outcomes += _assert_walk_matches_the_oracle(b1, b2)
     blocked = sum(isinstance(v, tuple) for v in outcomes)
     assert blocked >= 100 and len(outcomes) - blocked >= 1000, (blocked, len(outcomes))
+
+
+def test_difference_order_stops_at_the_first_difference(monkeypatch):
+    # two 2,000-term series that part at x^1: one lift, not one per exponent
+    terms = [(m, 1) for m in range(1, 2001)]
+    b1 = branch(1, terms, truncation=2001)
+    b2 = branch(1, [(1, 2)] + terms[1:], truncation=2001)
+    lifted, calls = puiseux._lifted, []
+    monkeypatch.setattr(puiseux, "_lifted", lambda *args: calls.append(args) or lifted(*args))
+    assert difference_order(b1, b2) == 1
+    assert len(calls) == 1
 
 
 def test_cyclotomic_coefficient_sums_repeated_negative_and_large_powers():
