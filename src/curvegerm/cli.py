@@ -43,6 +43,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from curvegerm.holder import classify, holder_key
 from curvegerm.invariants import characteristic_data
 from curvegerm.metric import (
     DEFAULT_ANGLES,
+    DEFAULT_MIN_RADIUS,
     branch_gap_profile,
     check_contact_distortion,
     default_branch_grid,
@@ -90,13 +92,15 @@ def _grid_spec(text: str) -> np.ndarray:
         ) from None
 
 
-def _tolerance(text: str) -> float:
+def _number(name: str, low, kind, text: str):
+    """Option ``name``'s ``text`` as a finite ``kind`` >= ``low``; else exit 2."""
     try:
-        value = float(text)
+        value = kind(text)
     except ValueError:
         value = math.nan
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}: need a finite number >= 0")
+    if not low <= value < math.inf:
+        need = "an integer" if kind is int else "a finite number"
+        raise argparse.ArgumentTypeError(f"bad {name} {text!r}: need {need} >= {low}")
     return value
 
 
@@ -156,7 +160,8 @@ def _cmd_estimate(args) -> dict:
     radii = args.grid if args.grid is not None else default_branch_grid(b1, b2)
     estimate = estimate_branch_contact(b1, b2, radii, angles=args.angles)
     if args.csv:
-        _write_csv(args.csv, radii, branch_gap_profile(b1, b2, radii, args.angles))
+        kept = radii[radii >= DEFAULT_MIN_RADIUS]  # the fit drops the others
+        _write_csv(args.csv, kept, branch_gap_profile(b1, b2, kept, args.angles))
     payload = estimate.to_dict()
     payload["angles"] = args.angles
     try:
@@ -277,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     numeric = argparse.ArgumentParser(add_help=False)
     numeric.add_argument(
         "--tolerance",
-        type=_tolerance,
+        type=partial(_number, "tolerance", 0, float),
         default=0.1,
         metavar="T",
         help="tolerance for numeric agreement checks (default 0.1)",
@@ -312,7 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--grid", type=_grid_spec, metavar="r_max,r_min,count")
-    p.add_argument("--angles", type=int, default=DEFAULT_ANGLES, metavar="K")
+    p.add_argument(
+        "--angles", type=partial(_number, "angles", 1, int), default=DEFAULT_ANGLES, metavar="K"
+    )
     p.add_argument("--csv", metavar="PATH", help="write (r, gap) pairs to a CSV file")
     p.set_defaults(handler=_cmd_estimate)
 
@@ -323,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--beta", type=float, required=True, metavar="B")
+    p.add_argument("--beta", type=partial(_number, "beta", 1, float), required=True, metavar="B")
     p.add_argument("--grid", type=_grid_spec, metavar="r_max,r_min,count")
     p.set_defaults(handler=_cmd_check_prop1)
 

@@ -3,7 +3,7 @@
 The contact of two distinct analytic branches is their coincidence
 exponent: the largest order in x at which some pair of Newton-Puiseux
 parametrizations agrees.  The walk that validates a germ finds its
-contact tree and so every pair's contact, and the germ keeps them.  The
+contact tree, the germ's one record of every pair's contact.  The
 intersection multiplicity follows by Max Noether's formula
 (Casas-Alvero, *Singularities of Plane Curves*, 2000): with contact c,
 multiplicities n1 and n2, and beta_q the last characteristic exponent
@@ -29,6 +29,7 @@ from curvegerm.puiseux import (
     PuiseuxBranch,
     TruncationExceeded,
     _contact_tree,
+    _meetings,
 )
 
 
@@ -67,7 +68,7 @@ def contact(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
     >>> contact(branch(2, [(4, 1), (5, 1)]), branch(3, [(6, 1), (7, zeta(3))]))
     Fraction(7, 3)
     """
-    n, rows, _, blocked = _contact_tree((b1, b2))
+    n, tree, blocked = _contact_tree((b1, b2))
     if blocked:
         limit, left, _, _ = blocked
         raise TruncationExceeded(
@@ -76,7 +77,7 @@ def contact(b1: PuiseuxBranch, b2: PuiseuxBranch) -> Fraction:
             # every conjugate that parted did so at or below the limit
             lower_bound=Fraction(limit + 1, n),
         )
-    return Fraction(rows[0][1], n)
+    return Fraction(tree[0][0], n)
 
 
 def intersection_multiplicity(b1: PuiseuxBranch, b2: PuiseuxBranch) -> int:
@@ -133,21 +134,23 @@ class ContactReport:
 def contact_report(g: CurveGerm) -> ContactReport:
     """Fill both pairwise matrices for all distinct branch pairs of the germ.
 
-    Reads the contacts that validated the germ; each is exact, so no
+    Reads each pair's exact contact off the germ's contact tree, so no
     pair is compared again.  Each branch's gcd steps are taken once, and
     each distinct contact becomes one Fraction, shared by its cells.
     """
-    den, rows = g._contacts
-    r = len(g.branches)
-    steps = [list(_steps(b)) for b in g.branches]
-    fractions = {p: Fraction(p, den) for p in set().union(*rows) - {None}}
+    (den, tree), bs = g._tree, g.branches
+    r = len(bs)
+    steps = [list(_steps(b)) for b in bs]
+    fractions = {p: Fraction(p, den) for p in set(tree[0]) - {None}}
     cont: list[list[Fraction | None]] = [[None] * r for _ in range(r)]
     inter: list[list[int | None]] = [[None] * r for _ in range(r)]
-    for i, bi in enumerate(g.branches):
-        for j in range(i + 1, r):
-            p = rows[i][j]
-            cont[i][j] = cont[j][i] = fractions[p]
-            inter[i][j] = inter[j][i] = _noether(bi.n, steps[i], g.branches[j].n, p, den)
+    for p, gathered, child in _meetings(tree):
+        # each pair in index order: Noether's formula reads the first's steps
+        for a in gathered:
+            for b in child:
+                i, j = (a, b) if a < b else (b, a)
+                cont[i][j] = cont[j][i] = fractions[p]
+                inter[i][j] = inter[j][i] = _noether(bs[i].n, steps[i], bs[j].n, p, den)
     return ContactReport(
         r,
         # lists, not generators, for the reason given at PuiseuxBranch.exponents

@@ -21,15 +21,14 @@ labelled trees.  By Zariski and Burau, characteristic data plus
 pairwise contacts is the complete topological invariant of a germ, so
 the tree is a property of each germ alone; the walk that validates the
 germ builds it (``CurveGerm._tree``).  Each germ keeps, built once on
-first use, a summary that no partner changes: its branches' marks, its
-contact matrix, and its contact tree with a canonical key on every
+first use, a summary that no partner changes (:class:`_Summary`): its
+branches' marks and its contact tree with a canonical key on every
 node, one flat tuple in the manner of Aho, Hopcroft and Ullman (see
-:func:`holder_key`) that compares without recursion at any depth; the
-groups of its marks and of its contacts join it the first time a
-distinct verdict reads them.  Two germs are equivalent exactly when
-their keys are equal; the bijection returned is then the one a search
-over all r! bijections finds first in lexicographic order, read off the
-two trees by climbing from leaf pairs through nodes of equal keys.
+:func:`holder_key`) that compares without recursion at any depth.  Two
+germs are equivalent exactly when their keys are equal; the bijection
+returned is then the one a search over all r! bijections finds first in
+lexicographic order, read off the two trees by climbing from leaf pairs
+through nodes of equal keys.
 
 An obstruction's value depends only on its source values (the two betas,
 or the two contacts), so the classifier lists one obstruction per
@@ -39,35 +38,28 @@ at most r - 1 distinct contacts, so the list has at most
 1 + r**2 + (r - 1)**2 entries.
 
 All thresholds are exact rationals; the fourth root is applied only at
-presentation time.  Of a branch, a pair obstruction reads only the
-truncated exponent ratios m_j/(n_1...n_j), kept once per germ as the
-branch's marks ((m_1, N_1), ..., (m_g, N_g)), N_j = n_1...n_j, so each
-partner costs ``_pair_ratio`` two products and first calls gain too.
-The scan compares values as unreduced int pairs (numerator,
-denominator) from ``_pair_ratio``, ``_branch_ratio`` and
-``_contact_ratio``, and k0 by cross-multiplication, as it compares
-contacts across germs, kept as int numerators over each germ's own lcm
-of multiplicities.  A ``Fraction`` is made only for a value handed out:
-one per distinct int pair among a verdict's obstructions (those with
-equal pairs share it), k0, and the result of a public obstruction
-function, which builds marks from pairs and wraps the same helpers.
-:func:`classify` checks each fact once, where it makes it: a value's
-range (0, 1] when its ``Fraction`` is made, and each source group's
-count when the lists of sources are built.  Its obstructions are then
-made without their constructor's checks, and the verdict still checks
-that k0 is the largest value and below 1.
+presentation time.  A branch enters as its marks (:func:`_marks`), kept
+once per germ, and a contact as an int numerator over its germ's lcm of
+multiplicities.  The scan compares values as unreduced int pairs from
+``_pair_ratio``, ``_branch_ratio`` and ``_contact_ratio``, and k0 by
+cross-multiplication.  A ``Fraction`` is made only for a value handed
+out: one per distinct int pair among a verdict's obstructions, k0, and
+the result of a public obstruction function.  :func:`classify` checks
+each fact once, where it makes it, so its obstructions skip their
+constructor's checks; the verdict still checks that k0 is the largest
+value and below 1.
 """
 
 from __future__ import annotations
 
-import itertools
+import itertools  # noqa: F401 -- bench/tracer.py patches it until ROADMAP item 4b
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from curvegerm.invariants import CharacteristicData, characteristic_data
-from curvegerm.puiseux import ConsistencyError, CurveGerm
+from curvegerm.puiseux import ConsistencyError, CurveGerm, _meetings
 
 STATUS_EQUIVALENT = "equivalent_invariants"
 STATUS_DISTINCT = "certified_distinct"
@@ -364,16 +356,16 @@ def _first_matching(tree1, tree2) -> tuple[int, ...]:
 
 
 def _groups(items):
-    """Group ``(where, key)`` items by key in one pass.
+    """Group ``(where, key, count)`` items, in order of ``where``, by key.
 
-    Returns ``{key: (first where, count)}`` in order of first
+    Returns ``{key: (first where, total count)}`` in order of first
     appearance, so iterating two such dicts nested visits the key pairs
     in the order of their first realising pair of positions.
     """
     groups: dict = {}
-    for where, key in items:
-        first, count = groups.get(key, (where, 0))
-        groups[key] = (first, count + 1)
+    for where, key, count in items:
+        first, total = groups.get(key, (where, 0))
+        groups[key] = (first, total + count)
     return groups
 
 
@@ -381,30 +373,33 @@ class _Summary:
     """What the classifier reads of one germ, whatever it is compared with.
 
     ``marks`` (:func:`_marks`, equal exactly when betas are) are per
-    branch, and ``den`` and ``contact`` are the germ's ``_contacts``.
-    ``tree`` is the germ's contact tree from :func:`_keyed_tree` and ``key``
-    its root's key.  ``mark_groups`` and ``contact_groups``, the
-    :func:`_groups` of the marks by branch and of the contacts by branch
-    pair, are read only for distinct germs, so they are built on first
-    use.  A germ keeps its summary as long as it lives, so the summary is
-    kept in tuples, most of them of ints, which Python's cyclic garbage
-    collector stops tracking.  It is a plain class because making a
-    dataclass costs about 0.6 ms at every import.
+    branch, ``den`` and ``contacts`` are the germ's ``_tree``, ``tree``
+    is that tree keyed by :func:`_keyed_tree` and ``key`` its root's key.
+    ``mark_groups`` and ``contact_groups``, the :func:`_groups` of the
+    marks by branch and of the contacts by branch pair, are read only for
+    distinct germs, so they are built on first use, the latter from the
+    tree's meetings without a pass over the pairs.  A germ keeps its
+    summary as long as it lives, so it is kept in tuples, most of them of
+    ints, which Python's cyclic garbage collector stops tracking.  It is
+    a plain class because making a dataclass costs about 0.6 ms at every
+    import.
     """
 
-    def __init__(self, marks, den, contact, tree):
-        self.marks, self.den, self.contact = marks, den, contact
+    def __init__(self, marks, den, contacts, tree):
+        self.marks, self.den, self.contacts = marks, den, contacts
         self.tree, self.key = tree, tree[0][0]
 
     @cached_property
     def mark_groups(self) -> dict:
-        return _groups(((u,), marks) for u, marks in enumerate(self.marks))
+        return _groups(((u,), marks, 1) for u, marks in enumerate(self.marks))
 
     @cached_property
     def contact_groups(self) -> dict:
-        c = self.contact
-        pairs = itertools.combinations(range(len(c)), 2)
-        return _groups(((i, j), c[i][j]) for i, j in pairs)
+        # len * len pairs per meeting, the first made of each list's first (smallest) branch
+        pairs = []
+        for c, a, b in _meetings(self.contacts):
+            pairs.append(((min(a[0], b[0]), max(a[0], b[0])), c, len(a) * len(b)))
+        return _groups(sorted(pairs))
 
 
 def _summary(g: CurveGerm) -> _Summary:
@@ -412,9 +407,9 @@ def _summary(g: CurveGerm) -> _Summary:
     summary = g._holder
     if summary is None:
         data = [characteristic_data(b) for b in g.branches]
-        den, contact = g._contacts
-        tree = _keyed_tree(g._tree, den, [d.beta for d in data])
-        summary = _Summary(tuple([_marks(d.pairs) for d in data]), den, contact, tree)
+        den, contacts = g._tree
+        tree = _keyed_tree(contacts, den, [d.beta for d in data])
+        summary = _Summary(tuple([_marks(d.pairs) for d in data]), den, contacts, tree)
         object.__setattr__(g, "_holder", summary)
     return summary
 

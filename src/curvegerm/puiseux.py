@@ -168,8 +168,7 @@ def conjugate(b: PuiseuxBranch, k: int) -> PuiseuxBranch:
 
 
 def _contact_tree(branches, conjugates=None):
-    """The branches' contacts and contact tree (Kuo and Lu), from one walk
-    over their terms.
+    """The branches' contact tree (Kuo and Lu), from one walk over their terms.
 
     Every branch is put on x = s^den, den = lcm of the multiplicities;
     turning s by zeta_den^v turns branch i into its conjugate v mod n_i.
@@ -188,27 +187,26 @@ def _contact_tree(branches, conjugates=None):
     representative has the smallest index in its class, so one side of
     every comparison stays unrotated and no field grows beyond a pair's.
 
-    Returns den, the contacts ``rows`` as int numerators over den (None on
-    the diagonal), the tree ``(levels, parents, leaves)`` and None.  Node
-    k has level ``levels[k]`` (None for a leaf) and parent ``parents[k]``
-    (-1 for the root), and comes after its parent; ``leaves[i]`` is
-    branch i's leaf.  A class that splits at its parent's level adds its
-    children to that node.  A member that still agrees past the last
-    s-exponent both it and its representative know stops the walk, which
-    then returns den, None, None and (that limit, the member's conjugates
-    left in increasing order, the representative, the member).
+    Returns den, the tree ``(levels, parents, leaves)`` and None.  Node
+    k has level ``levels[k]``, an int numerator over den (None for a
+    leaf), and parent ``parents[k]`` (-1 for the root), and comes after
+    its parent; ``leaves[i]`` is branch i's leaf.  A class that splits at
+    its parent's level adds its children to that node, so a pair's
+    contact is the level where its leaves meet (:func:`_meetings`).  A
+    member that still agrees past the last s-exponent both it and its
+    representative know stops the walk, which then returns den, None and
+    (that limit, the member's conjugates left in increasing order, the
+    representative, the member).
     ``conjugates`` (only for a pair; default every one) holds the second
     branch to the listed conjugates, each in range(n).
     """
-    r = len(branches)
     den = math.lcm(*[b.n for b in branches])
     # s-exponents, each list ended by a sentinel past every term
     exps = [[m * (den // b.n) for m, _ in b.terms] + [math.inf] for b in branches]
     tops = [b.truncation * (den // b.n) for b in branches]
-    rows: list[list[int | None]] = [[None] * r for _ in range(r)]
     levels: list[int | None] = []
     parents: list[int] = []
-    leaves = [0] * r
+    leaves = [0] * len(branches)
     # a class is its representative, its members (j, conjugates of j left),
     # the number of terms walked (the same for each, as all agree so far)
     # and its node (its parent's at first)
@@ -222,7 +220,7 @@ def _contact_tree(branches, conjugates=None):
             stay, gone = [], []
             for j, ks in members:
                 if top < e or tops[j] < e:
-                    return den, None, None, (min(top, tops[j]), list(ks), rep, j)
+                    return den, None, (min(top, tops[j]), list(ks), rep, j)
                 theirs = exps[j][at]
                 if theirs != e and mine != e:
                     stay.append((j, ks))
@@ -243,9 +241,6 @@ def _contact_tree(branches, conjugates=None):
                     levels.append(e)
                     parents.append(node)
                     node = len(levels) - 1
-                for i in [rep] + [j for j, _ in stay]:
-                    for j, _ in gone:
-                        rows[i][j] = rows[j][i] = e
                 (p, base), *rest = gone
                 u = base[0]
                 if u:
@@ -258,7 +253,32 @@ def _contact_tree(branches, conjugates=None):
         leaves[rep] = len(levels)
         levels.append(None)
         parents.append(node)
-    return den, rows, (tuple(levels), tuple(parents), tuple(leaves)), None
+    return den, (tuple(levels), tuple(parents), tuple(leaves)), None
+
+
+def _meetings(tree):
+    """Every branch pair of a contact tree ``(levels, parents, leaves)``.
+
+    Visits children before parents, and for each inner node's second and
+    later children yields (the node's level, the branches gathered under
+    the node so far, the branches under that child): each pair once, at
+    its contact.  Each list starts with its smallest branch; read it
+    before the next step, when the shorter list joins the longer.
+    """
+    levels, parents, leaves = tree
+    under: list = [None] * len(levels)
+    for i, leaf in enumerate(leaves):
+        under[leaf] = [i]
+    for node in range(len(levels) - 1, 0, -1):
+        parent, child = parents[node], under[node]
+        gathered = under[parent]
+        if gathered is not None:
+            yield levels[parent], gathered, child
+            short, child = (gathered, child) if len(gathered) < len(child) else (child, gathered)
+            if short[0] < child[0]:
+                short[0], child[0] = child[0], short[0]
+            child += short
+        under[parent] = child
 
 
 def difference_order(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0) -> Fraction:
@@ -270,14 +290,14 @@ def difference_order(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int = 0) -> Fracti
     carrying the lower bound (limit+1)/lcm, when every term up to the
     shorter truncation agrees.
     """
-    n, rows, _, blocked = _contact_tree((b1, b2), [k % b2.n])
+    n, tree, blocked = _contact_tree((b1, b2), [k % b2.n])
     if blocked:
         limit = blocked[0]
         raise TruncationExceeded(
             f"series agree at every known exponent up to x^({limit}/{n})",
             lower_bound=Fraction(limit + 1, n),
         )
-    return Fraction(rows[0][1], n)
+    return Fraction(tree[0][0], n)
 
 
 _ABSENT = CyclotomicNumber.zero(1)
@@ -335,20 +355,16 @@ class CurveGerm:
     Distinctness means no branch is a Newton-Puiseux conjugate of
     another: for every conjugation some pair of known terms must differ.
     The walk that proves it (:func:`_contact_tree`) finds the germ's
-    contact tree, kept in ``_tree`` as ``(levels, parents, leaves)``, and
-    each pair's contact, kept in ``_contacts`` as ``(den, rows)``: int
-    numerators over den = lcm of the multiplicities, None on the
-    diagonal.  The contact report reads the contacts and the classifier
-    both.  When the walk cannot part some pair, it names the first such
-    pair it meets, with its smallest agreeing conjugation.
-    ``_holder`` holds the classifier's summary, built by
-    :mod:`curvegerm.holder` on first use.  All three are derived from the
-    branches, so they stay out of ``__init__``, ``repr``, ``==`` and
-    ``hash``.
+    contact tree, its one record of their contacts, which the contact
+    report and the classifier read: ``_tree`` is ``(den, (levels,
+    parents, leaves))``, den = lcm of the multiplicities.  When the walk
+    cannot part some pair, it names the first it meets, with its smallest
+    agreeing conjugation.  ``_holder`` is the classifier's summary, made
+    by :mod:`curvegerm.holder` on first use.  Both derive from the
+    branches, so they stay out of ``__init__``, ``repr``, ``==`` and ``hash``.
     """
 
     branches: tuple[PuiseuxBranch, ...]
-    _contacts: tuple = field(init=False, repr=False, compare=False)
     _tree: tuple = field(init=False, repr=False, compare=False)
     _holder: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -357,15 +373,14 @@ class CurveGerm:
         branches = self.branches
         if not branches:
             raise GermValidationError("a germ needs at least one branch")
-        den, rows, tree, blocked = _contact_tree(branches)
+        den, tree, blocked = _contact_tree(branches)
         if blocked:
             _, ks, i, j = blocked
             raise GermValidationError(
                 f"branches {i} and {j} cannot be told apart (conjugation {ks[0]} "
                 "agrees within the known terms): duplicate branch or insufficient truncation"
             )
-        object.__setattr__(self, "_contacts", (den, tuple([tuple(row) for row in rows])))
-        object.__setattr__(self, "_tree", tree)
+        object.__setattr__(self, "_tree", (den, tree))
 
 
 def germ(branches) -> CurveGerm:

@@ -140,6 +140,25 @@ def test_estimate_writes_csv(tmp_path, capsys):
     assert len(lines) == 11
 
 
+def test_estimate_csv_holds_the_radii_the_fit_kept(tmp_path, capsys):
+    # y = x^2 against y = x^2 + x^40: the gap at r = 1e-8 underflows, but the
+    # fit drops every radius under the 1e-6 floor first, and so does the CSV
+    line = {"n": 1, "truncation": 50, "terms": [{"exp": 2, "coeff": {"rational": "1"}}]}
+    far = {**line, "terms": line["terms"] + [{"exp": 40, "coeff": {"rational": "1"}}]}
+    a = write(tmp_path, "a.json", {"branches": [line]})
+    b = write(tmp_path, "b.json", {"branches": [far]})
+    argv = ["estimate", a, b, "--grid", "1e-1,1e-8,16"]
+    code, plain = run_json(capsys, argv)
+    assert code == 0 and plain["slope"] == pytest.approx(40.0)
+    csv_path = tmp_path / "gaps.csv"
+    code, payload = run_json(capsys, argv + ["--csv", str(csv_path)])
+    assert code == 0 and payload == plain
+    header, *rows = csv_path.read_text().strip().splitlines()
+    radii = [float(row.split(",")[0]) for row in rows]
+    assert header == "r,gap"
+    assert len(radii) == 11 and min(radii) == payload["window"][0] and max(radii) == 0.1
+
+
 def test_check_prop1_command(tmp_path, capsys):
     a = write(tmp_path, "a.json", AXIS)
     b = write(tmp_path, "b.json", PARABOLA)
@@ -327,6 +346,39 @@ def test_zero_tolerance_is_accepted(tmp_path, capsys, command):
     assert payload["tolerance"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("estimate", "angles", "0"),
+        ("estimate", "angles", "-1"),
+        ("estimate", "angles", "1.5"),
+        ("check-prop1", "beta", "nan"),
+        ("check-prop1", "beta", "inf"),
+        ("check-prop1", "beta", "0.5"),
+    ],
+)
+def test_angles_and_beta_out_of_range_are_usage_errors(tmp_path, capsys, command, option, value):
+    # checked when the options are parsed, as --tolerance and --grid are
+    need = "an integer >= 1" if option == "angles" else "a finite number >= 1"
+    a = write(tmp_path, "a.json", AXIS)
+    b = write(tmp_path, "b.json", PARABOLA)
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, a, b, f"--{option}={value}", "--json"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad {option} {value!r}: need {need}" in captured.err
+
+
+def test_angles_and_beta_of_one_are_accepted(tmp_path, capsys):
+    a = write(tmp_path, "a.json", AXIS)
+    b = write(tmp_path, "b.json", PARABOLA)
+    code, payload = run_json(capsys, ["estimate", a, b, "--angles=1"])
+    assert code == 0 and payload["angles"] == 1
+    code, payload = run_json(capsys, ["check-prop1", a, b, "--beta=1"])
+    assert code == 0 and payload["beta"] == 1.0
+
+
 def test_exit_code_4_on_out_of_range_grid(tmp_path, capsys):
     # an n=4 branch needs t-radii at most 0.5, i.e. x-radii at most 0.5^4
     a = write(tmp_path, "a.json", GENUS2)
@@ -362,16 +414,6 @@ def test_exit_code_4_when_the_radius_floor_leaves_too_few_radii(tmp_path, capsys
     )
 
 
-@pytest.mark.parametrize("beta", ["nan", "inf"])
-def test_exit_code_4_on_non_finite_beta(tmp_path, capsys, beta):
-    a = write(tmp_path, "a.json", AXIS)
-    b = write(tmp_path, "b.json", PARABOLA)
-    code, payload = run_json(capsys, ["check-prop1", a, b, "--beta", beta])
-    assert code == 4
-    assert payload["error_kind"] == "unsupported"
-    assert f"got {beta}" in payload["message"]
-
-
 def test_exit_code_4_on_multi_branch_estimate(tmp_path, capsys):
     a = write(tmp_path, "a.json", AXIS_AND_PARABOLA)
     b = write(tmp_path, "b.json", AXIS)
@@ -385,15 +427,6 @@ def test_exit_code_4_on_smooth_proof_arcs(tmp_path, capsys):
     code, payload = run_json(capsys, ["proof-arcs", path])
     assert code == 4
     assert payload["error_kind"] == "unsupported"
-
-
-def test_exit_code_4_on_zero_angles(tmp_path, capsys):
-    a = write(tmp_path, "a.json", AXIS)
-    b = write(tmp_path, "b.json", PARABOLA)
-    code, payload = run_json(capsys, ["estimate", a, b, "--angles", "0"])
-    assert code == 4
-    assert payload["error_kind"] == "unsupported"
-    assert payload["message"] == "angles must be at least 1, got 0"
 
 
 def test_exit_code_5_on_an_internal_error(tmp_path, capsys, monkeypatch):
@@ -420,7 +453,8 @@ def test_exit_code_5_on_a_tampered_contact(tmp_path, capsys, monkeypatch):
 
     def tampered(path):
         g = load_germ(path)
-        object.__setattr__(g, "_contacts", (2, ((None, 4), (4, None))))
+        # the root's level 3/2 tampered to 2
+        object.__setattr__(g, "_tree", (2, ((4, None, None), (-1, 0, 0), (1, 2))))
         return g
 
     monkeypatch.setattr(cli, "load_germ", tampered)

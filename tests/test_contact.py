@@ -335,9 +335,10 @@ def test_a_tampered_contact_fails_the_intersection_check(numerator, value):
     # gives (1/2) * (3 + 1 * 2 * c), so the true contact 3/2 gives 3, and a
     # contact of 2 or 0 gives 7/2 or 0
     g = germ([branch(2, [(3, 1)], truncation=8), branch(1, [], truncation=16)])
-    assert g._contacts == (2, ((None, 3), (3, None)))
+    # the root at level 3/2 over the two leaves
+    assert g._tree == (2, ((3, None, None), (-1, 0, 0), (1, 2)))
     assert contact_report(g).intersection[0][1] == 3
-    object.__setattr__(g, "_contacts", (2, ((None, numerator), (numerator, None))))
+    object.__setattr__(g, "_tree", (2, ((numerator, None, None), (-1, 0, 0), (1, 2))))
     with pytest.raises(
         ConsistencyError,
         match=f"intersection multiplicity came out as {value}, not a positive integer",
@@ -364,14 +365,13 @@ def test_intersection_numbers_equal_the_conjugate_sum(generated_germs):
     demos = [load_germ(path) for path in sorted(DEMO_DATA.glob("*.json"))]
     pairs = 0
     for g in [g for _, g, _ in generated_germs] + demos:
-        inter = contact_report(g).intersection
-        den, rows = g._contacts
+        report = contact_report(g)
         for i, j in itertools.permutations(range(len(g.branches)), 2):
             bi, bj = g.branches[i], g.branches[j]
             expected = conjugate_sum(bi, bj)
-            assert inter[i][j] == intersection_multiplicity(bi, bj) == expected, (bi, bj)
+            assert report.intersection[i][j] == intersection_multiplicity(bi, bj) == expected
             # Noether's formula read from either branch's exponents
-            p = rows[i][j]
+            p, den = report.contact[i][j].numerator, report.contact[i][j].denominator
             from_i = _noether(bi.n, _steps(bi), bj.n, p, den)
             assert from_i == _noether(bj.n, _steps(bj), bi.n, p, den)
             pairs += 1

@@ -303,8 +303,8 @@ def test_contact_tree_reads_at_most_four_r_squared_entries(make, depth, monkeypa
     monkeypatch.setattr(puiseux, "_lifted", lambda *args: calls.append(args) or lifted(*args))
     g = germ(branches)
     assert len(calls) <= r * r
-    levels, parents, leaves = g._tree
-    assert len(levels) == len(parents) == 2 * r - 1
+    den, (levels, parents, leaves) = g._tree
+    assert den == 1 and len(levels) == len(parents) == 2 * r - 1
     paths = []
     for node in leaves:
         path = []
@@ -316,7 +316,7 @@ def test_contact_tree_reads_at_most_four_r_squared_entries(make, depth, monkeypa
     for i, j in itertools.combinations(range(0, r, 7), 2):
         # the deepest common node of two root paths is at their contact
         common = [a for a, b in zip(paths[i], paths[j]) if a == b]
-        assert levels[common[-1]] == contact[i][j] == g._contacts[1][i][j]
+        assert levels[common[-1]] == contact[i][j]
 
 
 def test_key_is_the_canonical_tree():
@@ -519,16 +519,28 @@ def test_classify_matches_the_fraction_scan(generated_germs):
     assert kinds["char_exponents"] > 0 and kinds["contact"] > 0
 
 
+def contact_groups_of_the_matrix(g, den):
+    """The grouping the summary's tree pass replaces: every pair of the
+    contact report's matrix in index order, grouped by its contact (an
+    int numerator over den) with its first pair and count."""
+    contact, groups = contact_report(g).contact, {}
+    for i, j in itertools.combinations(range(len(contact)), 2):
+        level = contact[i][j] * den
+        assert level.denominator == 1
+        first, count = groups.get(level.numerator, ((i, j), 0))
+        groups[level.numerator] = (first, count + 1)
+    return groups
+
+
 def test_summary_derives_the_contacts_and_the_beta_groups(generated_germs):
     demos = [load_germ(path) for path in sorted(DEMO_DATA.glob("*.json"))]
-    shared = 0
+    shared = contacts_shared = 0
     for g in [g for _, g, _ in generated_germs] + demos:
-        summary, contact = _summary(g), contact_report(g).contact
-        for i, j in itertools.product(range(len(g.branches)), repeat=2):
-            if i == j:
-                assert summary.contact[i][j] is None
-            else:
-                assert summary.contact[i][j] == contact[i][j] * summary.den
+        summary = _summary(g)
+        expected = contact_groups_of_the_matrix(g, summary.den)
+        # the same groups in the same order, each with its first pair and count
+        assert list(summary.contact_groups.items()) == list(expected.items())
+        contacts_shared += any(n > 1 for _, n in expected.values())
         # marks group the branches as betas do: the same groups, in the
         # same order, each with the same first branch and count
         by_beta: dict = {}
@@ -537,7 +549,17 @@ def test_summary_derives_the_contacts_and_the_beta_groups(generated_germs):
             by_beta[beta] = (first, count + 1)
         assert list(summary.mark_groups.values()) == [((u,), n) for u, n in by_beta.values()]
         shared += any(n > 1 for _, n in by_beta.values())
-    assert shared > 10
+    assert shared > 10 and contacts_shared > 10, (shared, contacts_shared)
+
+
+def test_contact_groups_of_the_long_caterpillar_in_closed_form():
+    # branch k is y = x^(k+1), k = 1..r: branch i (from 0) parts from every
+    # later branch at x^(i+2), so the contact i + 2 has first pair (i, i + 1)
+    # and r - 1 - i pairs
+    r = 1000
+    g = germ([branch(1, [(k + 1, 1)], truncation=r + 2) for k in range(1, r + 1)])
+    groups = _summary(g).contact_groups
+    assert list(groups.items()) == [(i + 2, ((i, i + 1), r - 1 - i)) for i in range(r - 1)]
 
 
 def test_public_obstructions_match_the_fraction_scan(generated_germs):

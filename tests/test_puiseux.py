@@ -30,6 +30,8 @@ from curvegerm import cyclotomic, puiseux
 from curvegerm.cyclotomic import field_degree
 from curvegerm.puiseux import ConsistencyError, difference_series
 
+DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
+
 
 def test_parse_single_cusp():
     g = parse_germ(
@@ -604,7 +606,8 @@ def test_pair_walk_rotates_nothing_once_residue_zero_agrees(monkeypatch):
     calls.clear()
     g = germ([b1, b2])
     assert calls == []
-    assert g._contacts == (8, ((None, 10), (10, None)))
+    # the root at contact 10/8 over the two leaves
+    assert g._tree == (8, ((10, None, None), (-1, 0, 0), (1, 2)))
 
 
 def test_pair_walk_orders_are_the_first_exponents_of_the_difference_series(generated_germs):
@@ -707,8 +710,10 @@ def test_germ_walk_matches_the_per_conjugate_oracle():
             rejected += 1
             continue
         g = germ(branches)
-        den, rows = g._contacts
-        levels, parents, leaves = g._tree
+        den, tree = g._tree
+        levels, parents, leaves = tree
+        met = meeting_levels(tree)
+        assert met.keys() == contacts.keys(), branches
         paths = []
         for node in leaves:
             path = []
@@ -717,10 +722,9 @@ def test_germ_walk_matches_the_per_conjugate_oracle():
                 node = parents[node]
             paths.append(path[::-1])
         for (i, j), value in contacts.items():
-            assert Fraction(rows[i][j], den) == value and rows[j][i] == rows[i][j], branches
+            assert Fraction(met[i, j], den) == value, branches
             common = [a for a, b in zip(paths[i], paths[j]) if a == b]
-            assert levels[common[-1]] == rows[i][j], branches
-        assert all(rows[i][i] is None for i in range(r))
+            assert levels[common[-1]] == met[i, j], branches
         built += 1
         deep += max(len(path) for path in paths) > 3
     assert built >= 100 and rejected >= 100 and deep >= 20, (built, rejected, deep)
@@ -740,7 +744,41 @@ def test_chain_germ_compares_each_pair_of_branches_once(monkeypatch):
     monkeypatch.setattr(puiseux, "_lifted", lambda *args: calls.append(args) or lifted(*args))
     g = germ(branches)
     assert len(calls) == r * (r - 1) // 2 < 100_000
-    assert g._contacts[1][0][r - 1] == 3 and g._contacts[1][r - 2][r - 1] == r + 1
+    den, tree = g._tree
+    met = meeting_levels(tree)
+    assert den == 1 and met[0, r - 1] == 3 and met[r - 2, r - 1] == r + 1
+
+
+def meeting_levels(tree):
+    """``{(i, j): level}`` for the pairs i < j that ``_meetings`` yields,
+    checking that it yields none twice and each list starts with its
+    smallest branch."""
+    met = {}
+    for level, gathered, child in puiseux._meetings(tree):
+        assert gathered[0] == min(gathered) and child[0] == min(child)
+        for a in gathered:
+            for b in child:
+                pair = (a, b) if a < b else (b, a)
+                assert pair not in met, pair
+                met[pair] = level
+    return met
+
+
+def test_meetings_yield_each_pair_once_at_its_contact(generated_germs):
+    # the traversal against the contact matrix it replaces: every unordered
+    # pair once, at the level that the pair's own walk, contact(), finds
+    demos = [load_germ(path) for path in sorted(DEMO_DATA.glob("*.json"))]
+    pairs = 0
+    for g in [g for _, g, _ in generated_germs] + demos:
+        den, tree = g._tree
+        met = meeting_levels(tree)
+        r = len(g.branches)
+        assert sorted(met) == list(itertools.combinations(range(r), 2))
+        for (i, j), level in met.items():
+            assert Fraction(level, den) == contact(g.branches[i], g.branches[j])
+            pairs += 1
+    assert pairs >= 300 and len(demos) == 8, pairs
+
 
 
 def test_repeated_branch_is_named_without_walking_every_pair(monkeypatch):
