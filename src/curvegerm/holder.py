@@ -43,20 +43,24 @@ once per germ, and a contact as an int numerator over its germ's lcm of
 multiplicities.  The scan compares values as unreduced int pairs from
 ``_pair_ratio``, ``_branch_ratio`` and ``_contact_ratio``, and k0 by
 cross-multiplication.  A ``Fraction`` is made only for a value handed
-out: one per distinct int pair among a verdict's obstructions, k0, and
-the result of a public obstruction function.  :func:`classify` checks
-each fact once, where it makes it, so its obstructions skip their
-constructor's checks; the verdict still checks that k0 is the largest
-value and below 1.
+out: one per distinct value among a verdict's obstructions, shared by
+every obstruction of that value and by k0, and the result of a public
+obstruction function.  An obstruction is a named tuple.
+:func:`classify` checks each fact once, where it makes it, so it builds
+its obstructions without their constructor's checks; the verdict still
+checks, once per distinct value, that k0 is the largest value and
+below 1.
 """
 
 from __future__ import annotations
 
 import itertools  # noqa: F401 -- bench/tracer.py patches it until ROADMAP item 4b
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 from curvegerm.invariants import CharacteristicData, characteristic_data
 from curvegerm.puiseux import ConsistencyError, CurveGerm, _meetings
@@ -114,10 +118,21 @@ def pair_obstruction(pairs1, j: int, pairs2, i: int) -> Fraction:
 
 def _branch_ratio(marks1, marks2) -> tuple[int, int] | None:
     """``branch_obstruction`` of two branches given by their marks, as an
-    unreduced int pair; None when the marks, and so the betas, agree."""
+    unreduced int pair; None when the marks, and so the betas, agree.
+
+    Two branches of genus at most 1 have one mark each and so one value,
+    which is returned without setting up the scan.
+    """
     if marks1 == marks2:
         return None
     g1, g2 = len(marks1), len(marks2)
+    if g1 == 1 == g2:
+        (m1, n1), (m2, n2) = marks1[0], marks2[0]
+        a, b = m1 * n2, m2 * n1
+        if a > b:
+            return a + b, 2 * a
+        if a < b:
+            return a + b, 2 * b
     if g1 == g2:
         scan = zip(marks1, marks2)
     elif g1 > g2:
@@ -129,7 +144,7 @@ def _branch_ratio(marks1, marks2) -> tuple[int, int] | None:
     for (m1, n1), (m2, n2) in scan:
         a, b = m1 * n2, m2 * n1
         if a != b:
-            num, den = a + b, 2 * max(a, b)
+            num, den = a + b, 2 * (a if a > b else b)
             if num * bottom > top * den:
                 top, bottom = num, den
     return top, bottom
@@ -166,8 +181,13 @@ def contact_obstruction(cont1: Fraction, cont2: Fraction) -> Fraction:
     return Fraction(1) if ratio is None else Fraction(*ratio)
 
 
-@dataclass(frozen=True, init=False)
-class Obstruction:
+class Obstruction(
+    namedtuple(
+        "Obstruction",
+        ("kind", "value", "witness", "first", "second", "count"),
+        defaults=((), (), 1),
+    )
+):
     """One member of the obstruction set E, with its witness.
 
     ``witness`` names in prose the lexicographically first pair that
@@ -175,31 +195,28 @@ class Obstruction:
     indices of the first and of the second germ (``(u,)`` and ``(v,)``
     for characteristic exponents, ``(i, j)`` and ``(u, v)`` for
     contacts), and ``count`` is how many such pairs share its source
-    values.  The constructor checks what every caller other than
-    :func:`classify` passes in (an exact value in (0, 1], a positive
-    count) and stores the fields in one dict update, half the cost of a
-    frozen dataclass's own ``__init__``; :func:`classify` checks its
-    values and counts where it makes them and stores the fields the same
-    way.
+    values.  An obstruction is a named tuple: it unpacks, indexes and
+    compares like the plain tuple of its fields.  The constructor checks
+    an exact value in (0, 1] and a positive count, and so do ``_make``,
+    ``_replace`` and unpickling, which go through it; only
+    :func:`classify`, which checks its values and counts where it makes
+    them, builds obstructions with ``tuple.__new__``.
     """
 
-    kind: str
-    value: Fraction
-    witness: str
-    first: tuple[int, ...] = ()
-    second: tuple[int, ...] = ()
-    count: int = 1
+    __slots__ = ()
 
-    def __init__(self, kind, value, witness, first=(), second=(), count=1):
+    def __new__(cls, kind, value, witness, first=(), second=(), count=1):
         if not isinstance(value, Fraction):
             raise ConsistencyError(f"obstruction value {value!r} is not an exact Fraction")
         if not 0 < value.numerator <= value.denominator:
             raise ConsistencyError(f"obstruction value {value} outside (0, 1]")
         if count < 1:
             raise ConsistencyError(f"obstruction count {count} is not positive")
-        self.__dict__.update(
-            kind=kind, value=value, witness=witness, first=first, second=second, count=count
-        )
+        return tuple.__new__(cls, (kind, value, witness, first, second, count))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def to_dict(self) -> dict:
         payload = {"kind": self.kind, "value": str(self.value), "witness": self.witness}
@@ -241,11 +258,14 @@ class HolderVerdict:
             if not isinstance(self.k0, Fraction):
                 raise ConsistencyError(f"k0 {self.k0!r} is not an exact Fraction")
             # k0 = p/q is one of the values, none exceeds it, and p < q, in
-            # one pass; Fractions are reduced, so equal values have equal ints
+            # one pass over the distinct value objects (classify hands every
+            # obstruction of one value, and k0, the same Fraction); Fractions
+            # are reduced, so equal values have equal ints
             p, q = self.k0.numerator, self.k0.denominator
             ok, among = p < q, False
-            for o in self.obstructions:
-                a, b = o.value.numerator, o.value.denominator
+            values = list(map(itemgetter(1), self.obstructions))
+            for value in dict(zip(map(id, values), values)).values():
+                a, b = value.numerator, value.denominator
                 ok = ok and a * q <= p * b
                 among = among or (a == p and b == q)
             if not (ok and among):
@@ -504,11 +524,13 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
             if n < 1:
                 raise ConsistencyError(f"obstruction count {n} is not positive")
     # k0 as an int pair, raised by cross-multiplication when a value is
-    # first seen; one Fraction per distinct (num, den) pair, as many
-    # obstructions share a value
-    top, bottom = BASELINE.numerator, BASELINE.denominator
+    # first seen, and as that value's Fraction.  ``values`` maps each
+    # unreduced (num, den) pair and ``reduced`` each value in lowest terms
+    # to one Fraction per value, shared by every obstruction of that value
+    k0, top, bottom = BASELINE, BASELINE.numerator, BASELINE.denominator
     values: dict[tuple[int, int], Fraction] = {}
-    new = object.__new__
+    reduced = {(top, bottom): BASELINE}
+    new = tuple.__new__
     for kind, ratio_of, sources1, sources2 in scans:
         for value1, first, n1, w1 in sources1:
             for value2, second, n2, w2 in sources2:
@@ -517,21 +539,14 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
                     value = values.get(ratio)
                     if value is None:
                         num, den = ratio
-                        value = values[ratio] = Fraction(num, den)
-                        if not 0 < value.numerator <= value.denominator:
+                        value = Fraction(num, den)
+                        key = value.numerator, value.denominator
+                        if not 0 < key[0] <= key[1]:
                             raise ConsistencyError(f"obstruction value {value} outside (0, 1]")
+                        value = values[ratio] = reduced.setdefault(key, value)
                         if num * bottom > top * den:
-                            top, bottom = num, den
-                    o = new(Obstruction)
-                    o.__dict__.update(
-                        kind=kind,
-                        value=value,
-                        witness=f"{w1} vs {w2}",
-                        first=first,
-                        second=second,
-                        count=n1 * n2,
+                            k0, top, bottom = value, num, den
+                    obstructions.append(
+                        new(Obstruction, (kind, value, f"{w1} vs {w2}", first, second, n1 * n2))
                     )
-                    obstructions.append(o)
-    return HolderVerdict(
-        STATUS_DISTINCT, k0=Fraction(top, bottom), obstructions=tuple(obstructions)
-    )
+    return HolderVerdict(STATUS_DISTINCT, k0=k0, obstructions=tuple(obstructions))

@@ -1,8 +1,11 @@
+import gc
 import itertools
 import json
 import math
 import pathlib
+import pickle
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -654,6 +657,110 @@ def test_distinct_verdict_rejects_a_wrong_k0(k0, values):
 def test_obstruction_value_must_lie_in_the_unit_interval(value):
     with pytest.raises(ConsistencyError, match=r"outside \(0, 1\]"):
         Obstruction("contact", value, "x", (0, 1), (0, 1))
+
+
+BAD_FIELDS = [
+    pytest.param("value", 0.5, "not an exact Fraction", id="float-value"),
+    pytest.param("value", Fraction(3, 2), r"outside \(0, 1\]", id="value-above-1"),
+    pytest.param("count", 0, "count 0 is not positive", id="count-0"),
+]
+
+
+def _built_by(path, fields):
+    good = Obstruction("contact", Fraction(1, 2), "x", (0, 1), (0, 1), 2)
+    if path == "constructor":
+        return Obstruction(*fields)
+    if path == "_make":
+        return Obstruction._make(fields)
+    if path == "_replace":
+        return good._replace(**dict(zip(Obstruction._fields, fields)))
+    # unpickling: an obstruction made without the checks is pickled, and
+    # loading it builds it again through the constructor
+    return pickle.loads(pickle.dumps(tuple.__new__(Obstruction, fields)))
+
+
+@pytest.mark.parametrize("path", ["constructor", "_make", "_replace", "unpickling"])
+@pytest.mark.parametrize("field, bad, message", BAD_FIELDS)
+def test_every_public_way_to_build_an_obstruction_checks_it(path, field, bad, message):
+    fields = dict(
+        kind="contact", value=Fraction(1, 3), witness="x", first=(0, 1), second=(1, 2), count=4
+    )
+    assert _built_by(path, tuple(fields.values())) == tuple(fields.values())
+    fields[field] = bad
+    with pytest.raises(ConsistencyError, match=message):
+        _built_by(path, tuple(fields.values()))
+
+
+def test_an_obstruction_is_an_immutable_named_tuple():
+    o = Obstruction("contact", Fraction(1, 2), "x", (0, 1), (0, 1), 9)
+    assert o == ("contact", Fraction(1, 2), "x", (0, 1), (0, 1), 9)
+    kind, value, *_, count = o
+    assert (kind, value, count, o[1], o.count) == ("contact", Fraction(1, 2), 9, o.value, 9)
+    assert repr(o) == (
+        "Obstruction(kind='contact', value=Fraction(1, 2), witness='x', "
+        "first=(0, 1), second=(0, 1), count=9)"
+    )
+    assert Obstruction("baseline", BASELINE, "x")[3:] == ((), (), 1)
+    with pytest.raises(AttributeError):
+        o.value = Fraction(1, 3)
+    with pytest.raises(AttributeError):
+        o.extra = 1
+    assert pickle.loads(pickle.dumps(o)) == o
+
+
+def _values(shared):
+    """The values 1/2, 2/3, 2/3, 2/3 and 1, the three 2/3 one Fraction
+    object or three equal ones."""
+    two_thirds = Fraction(2, 3)
+    values = [BASELINE]
+    values += [two_thirds if shared else Fraction(2, 3) for _ in range(3)] + [Fraction(1)]
+    assert (len({id(v) for v in values}) == 3) == shared
+    return values
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_the_k0_check_reads_each_value_object_once(shared):
+    values = _values(shared)
+    below_one = tuple(Obstruction("contact", v, "x", (0, 1), (0, 1)) for v in values[:-1])
+    with_one = below_one + (Obstruction("contact", values[-1], "x", (0, 1), (0, 1)),)
+    for k0 in (values[1], Fraction(2, 3)):
+        assert HolderVerdict(STATUS_DISTINCT, k0=k0, obstructions=below_one).k0 == k0
+    for k0, obstructions in [
+        (BASELINE, below_one),  # among the values, but not the maximum
+        (Fraction(3, 4), below_one),  # above every value, but not among them
+        (Fraction(1), with_one),  # the maximum and among them, but 1
+    ]:
+        with pytest.raises(ConsistencyError, match="k0 = max obstruction < 1"):
+            HolderVerdict(STATUS_DISTINCT, k0=k0, obstructions=obstructions)
+
+
+def test_classify_shares_one_fraction_per_value_with_k0():
+    # the two caterpillars y = x^(k+1) and y = x^(k+2), k = 1..6
+    g1 = germ([branch(1, [(k + 1, 1)], truncation=9) for k in range(1, 7)])
+    g2 = germ([branch(1, [(k + 2, 1)], truncation=9) for k in range(1, 7)])
+    verdict = classify(g1, g2)
+    values = [o.value for o in verdict.obstructions]
+    assert len({id(v) for v in values}) == len(set(values)) < len(values)
+    assert any(v is verdict.k0 for v in values)
+
+
+def test_a_distinct_verdict_keeps_few_bytes_per_obstruction():
+    # the caterpillars y = x^(k+1) and y = x^(k+2), k = 1..120: 14,044
+    # obstructions.  Named tuples keep about 280 B each on Python 3.11,
+    # frozen dataclasses about 510 B
+    r = 120
+    g1 = germ([branch(1, [(k + 1, 1)], truncation=r + 3) for k in range(1, r + 1)])
+    g2 = germ([branch(1, [(k + 2, 1)], truncation=r + 3) for k in range(1, r + 1)])
+    classify(g1, g2)  # builds each germ's summary and groups outside the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verdict = classify(g1, g2)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(verdict.obstructions) == 14_044
+    assert kept / len(verdict.obstructions) <= 350
 
 
 def test_classify_checks_each_value_where_it_is_made(monkeypatch):
