@@ -94,7 +94,9 @@ class ContactReport:
 
     Diagonals are unset (None); contact entries are exact rationals in
     units of ord_x and are always at least 1.  The constructor proves
-    both matrices symmetric, then checks the bound once per unordered pair.
+    both matrices symmetric, then checks the bound once per unordered
+    pair; so does ``dataclasses.replace``.  :func:`contact_report` does
+    not call it: it checks the same facts where it makes them.
     """
 
     branch_count: int
@@ -113,13 +115,7 @@ class ContactReport:
                     if mat[i][j] != mat[j][i]:
                         raise ConsistencyError(f"{name} matrix must be symmetric")
         # symmetric, so the pairs above the diagonal are all the pairs
-        for i in range(r):
-            for j in range(i + 1, r):
-                if self.contact[i][j] < 1:
-                    raise ConsistencyError(
-                        f"contact[{i}][{j}] = {self.contact[i][j]} < 1; "
-                        "branches do not share the parametrization form"
-                    )
+        _check_contacts(self.contact)
 
     def to_dict(self) -> dict:
         return {
@@ -131,29 +127,71 @@ class ContactReport:
         }
 
 
+def _check_contacts(cont) -> None:
+    """Raise at the first cell above the diagonal whose contact is below 1."""
+    r = len(cont)
+    for i in range(r):
+        for j in range(i + 1, r):
+            if cont[i][j] < 1:
+                raise ConsistencyError(
+                    f"contact[{i}][{j}] = {cont[i][j]} < 1; "
+                    "branches do not share the parametrization form"
+                )
+
+
 def contact_report(g: CurveGerm) -> ContactReport:
     """Fill both pairwise matrices for all distinct branch pairs of the germ.
 
     Reads each pair's exact contact off the germ's contact tree, so no
-    pair is compared again.  Each branch's gcd steps are taken once, and
-    each distinct contact becomes one Fraction, shared by its cells.
+    pair is compared again.  Each branch's gcd steps are taken once, each
+    distinct contact becomes one Fraction, shared by its cells, and
+    Noether's formula runs once per meeting of the tree and pair of
+    branch kinds (multiplicity and steps), which checks each value it
+    makes.  The report is built without its constructor, whose checks
+    hold here by construction or are made once: the tree meets every
+    pair exactly once, and every contact level is at least 1.
     """
     (den, tree), bs = g._tree, g.branches
     r = len(bs)
-    steps = [list(_steps(b)) for b in bs]
-    fractions = {p: Fraction(p, den) for p in set(tree[0]) - {None}}
+    # a branch's kind, its multiplicity and gcd steps, is all that
+    # Noether's formula reads of it
+    kinds: dict = {}
+    kind = [kinds.setdefault((b.n, tuple(_steps(b))), len(kinds)) for b in bs]
+    forms, width = list(kinds), len(kinds)
+    fractions: dict[int, Fraction] = {}
     cont: list[list[Fraction | None]] = [[None] * r for _ in range(r)]
     inter: list[list[int | None]] = [[None] * r for _ in range(r)]
+    met = 0
     for p, gathered, child in _meetings(tree):
+        met += len(gathered) * len(child)
+        if p not in fractions:
+            fractions[p] = Fraction(p, den)
+        c, known = fractions[p], {}
         # each pair in index order: Noether's formula reads the first's steps
         for a in gathered:
             for b in child:
                 i, j = (a, b) if a < b else (b, a)
-                cont[i][j] = cont[j][i] = fractions[p]
-                inter[i][j] = inter[j][i] = _noether(bs[i].n, steps[i], bs[j].n, p, den)
-    return ContactReport(
-        r,
+                key = kind[i] * width + kind[j]
+                n = known.get(key)
+                if n is None:
+                    (n1, steps), (n2, _) = forms[kind[i]], forms[kind[j]]
+                    n = known[key] = _noether(n1, steps, n2, p, den)
+                # a cell and its mirror in one statement, and never a
+                # diagonal cell: both matrices are symmetric with an unset
+                # diagonal by construction
+                cont[i][j] = cont[j][i] = c
+                inter[i][j] = inter[j][i] = n
+    if met != r * (r - 1) // 2:
+        raise ConsistencyError(
+            f"the contact tree meets {met} branch pairs, not all {r * (r - 1) // 2}"
+        )
+    if any(p < den for p in fractions):
+        _check_contacts(cont)
+    report = object.__new__(ContactReport)
+    report.__dict__.update(
+        branch_count=r,
         # lists, not generators, for the reason given at PuiseuxBranch.exponents
-        tuple([tuple(row) for row in cont]),
-        tuple([tuple(row) for row in inter]),
+        contact=tuple([tuple(row) for row in cont]),
+        intersection=tuple([tuple(row) for row in inter]),
     )
+    return report

@@ -32,6 +32,10 @@ class CharacteristicData:
     e:     (e_0, ..., e_g) with e_i = gcd(e_{i-1}, beta_i) and e_g = 1.
     pairs: ((m_1, n_1), ..., (m_g, n_g)).
     genus: g, the number of pairs; 0 for a smooth branch.
+
+    The constructor checks every relation above, and so does
+    ``dataclasses.replace``.  :func:`characteristic_data` does not call
+    it: its recursion makes each relation true.
     """
 
     beta: tuple[int, ...]
@@ -82,7 +86,13 @@ def characteristic_data(b: PuiseuxBranch) -> CharacteristicData:
     """Run the gcd recursion on the known exponents of the branch.
 
     Raises TruncationExceeded when some e_i > 1 divides every known
-    exponent: the branch is non-primitive as far as visible.
+    exponent: the branch is non-primitive as far as visible.  That is the
+    one check made here.  The rest hold by construction, so the result is
+    built without the constructor: each e_i is gcd(e_{i-1}, beta_i) of a
+    beta_i that e_{i-1} does not divide, so it divides both and is
+    smaller, and the betas increase since the branch's exponents do
+    (:class:`~curvegerm.puiseux.PuiseuxBranch` checks that); the n_i
+    then multiply to e_0 / e_g = n.
     """
     beta = [b.n]
     e = [b.n]
@@ -97,7 +107,9 @@ def characteristic_data(b: PuiseuxBranch) -> CharacteristicData:
             f"exponent up to the truncation {b.truncation} is divisible by it "
             "(branch non-primitive as far as visible; supply more terms)"
         )
-    return CharacteristicData(tuple(beta), tuple(e), tuple(pairs), len(pairs))
+    data = object.__new__(CharacteristicData)
+    data.__dict__.update(beta=tuple(beta), e=tuple(e), pairs=tuple(pairs), genus=len(pairs))
+    return data
 
 
 def lipschitz_normal_form(b: PuiseuxBranch) -> PuiseuxBranch:

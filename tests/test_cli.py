@@ -469,6 +469,26 @@ def test_exit_code_5_on_a_tampered_contact(tmp_path, capsys, monkeypatch):
     }
 
 
+def test_exit_code_5_on_a_contact_tree_that_misses_a_pair(tmp_path, capsys, monkeypatch):
+    from curvegerm.puiseux import load_germ
+
+    def tampered(path):
+        g = load_germ(path)
+        # both leaves on one node: the tree never meets the pair
+        object.__setattr__(g, "_tree", (2, ((3, None, None), (-1, 0, 0), (1, 1))))
+        return g
+
+    monkeypatch.setattr(cli, "load_germ", tampered)
+    cusp = {"n": 2, "truncation": 8, "terms": [{"exp": 3, "coeff": {"rational": "1"}}]}
+    path = write(tmp_path, "g.json", {"branches": [cusp, AXIS["branches"][0]]})
+    code, payload = run_json(capsys, ["contact", path])
+    assert code == 5
+    assert payload == {
+        "error_kind": "internal",
+        "message": "the contact tree meets 0 branch pairs, not all 1",
+    }
+
+
 @pytest.mark.parametrize(
     "command, name, broken, message",
     [

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import pathlib
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from curvegerm import (
+    CharacteristicData,
     ContactReport,
     CyclotomicNumber,
     GermValidationError,
@@ -25,7 +27,10 @@ from curvegerm import (
 )
 from curvegerm.contact import _noether
 from curvegerm.invariants import _steps, characteristic_data
-from curvegerm.puiseux import ConsistencyError
+from curvegerm.puiseux import ConsistencyError, _meetings
+
+# the package exports a function named contact, which hides the submodule
+contact_module = importlib.import_module("curvegerm.contact")
 
 DEMO_DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
 
@@ -344,6 +349,62 @@ def test_a_tampered_contact_fails_the_intersection_check(numerator, value):
         match=f"intersection multiplicity came out as {value}, not a positive integer",
     ):
         contact_report(g)
+
+
+@pytest.mark.parametrize("second, levels, leaves, message", [
+    # y = 2t^3 (n = 2) meets the cusp at 3/2; at a tampered 1/2 Noether's
+    # formula gives (2/2) * (2 * 2 * 1/2) = 2, a valid intersection number,
+    # so only the contact bound can catch it
+    (branch(2, [(3, 2)], truncation=8), (1, None, None), (1, 2),
+     "contact[0][1] = 1/2 < 1; branches do not share the parametrization form"),
+    # both leaves on one node: the tree meets no pair, which once left a
+    # None contact for the report's constructor to compare with 1
+    (branch(1, [], truncation=16), (3, None, None), (1, 1),
+     "the contact tree meets 0 branch pairs, not all 1"),
+], ids=["contact-below-one", "pair-never-met"])
+def test_a_tampered_tree_is_caught_where_the_report_is_made(second, levels, leaves, message):
+    g = germ([branch(2, [(3, 1)], truncation=8), second])
+    assert g._tree == (2, ((3, None, None), (-1, 0, 0), (1, 2)))
+    object.__setattr__(g, "_tree", (2, (levels, (-1, 0, 0), leaves)))
+    with pytest.raises(ConsistencyError) as info:
+        contact_report(g)
+    assert str(info.value) == message
+
+
+def test_noether_runs_once_per_meeting_on_the_smooth_chain(monkeypatch):
+    # the chain of r = 50 smooth branches, branch k being y = x^2 + ... +
+    # x^(k+1): every branch has one kind, so each of the tree's r - 1
+    # meetings needs one intersection number, where one per pair made 1,225
+    r = 50
+    g = germ([branch(1, [(m, 1) for m in range(2, k + 2)], truncation=k + 3)
+              for k in range(1, r + 1)])
+    meetings = sum(1 for _ in _meetings(g._tree[1]))
+    noether, calls = contact_module._noether, []
+    monkeypatch.setattr(contact_module, "_noether",
+                        lambda *args: calls.append(args) or noether(*args))
+    report = contact_report(g)
+    monkeypatch.undo()
+    assert len(calls) <= meetings == r - 1
+    for i, j in itertools.combinations(range(r), 2):
+        bi, bj = g.branches[i], g.branches[j]
+        assert report.contact[i][j] == report.contact[j][i] == contact(bi, bj)
+        assert report.intersection[i][j] == report.intersection[j][i] == (
+            intersection_multiplicity(bi, bj))
+
+
+def test_the_constructors_accept_everything_the_library_builds(generated_germs):
+    # the report and the characteristic data are built without their
+    # constructors; the constructors' checks must pass on every one of them
+    demos = [load_germ(path) for path in sorted(DEMO_DATA.glob("*.json"))]
+    branches = 0
+    for g in [g for _, g, _ in generated_germs] + demos:
+        report = contact_report(g)
+        assert ContactReport(report.branch_count, report.contact, report.intersection) == report
+        for b in g.branches:
+            d = characteristic_data(b)
+            assert CharacteristicData(d.beta, d.e, d.pairs, d.genus) == d
+            branches += 1
+    assert branches >= 200 and len(demos) == 8, branches
 
 
 def test_report_serialization_round_trips_rationals():
