@@ -53,6 +53,7 @@ from curvegerm.invariants import characteristic_data
 from curvegerm.metric import (
     DEFAULT_ANGLES,
     DEFAULT_MIN_RADIUS,
+    _zero_gap,
     branch_gap_profile,
     check_contact_distortion,
     default_branch_grid,
@@ -67,6 +68,7 @@ from curvegerm.puiseux import (
     ConsistencyError,
     GermValidationError,
     TruncationExceeded,
+    difference_series,
     load_germ,
 )
 
@@ -180,6 +182,10 @@ def _cmd_estimate(args) -> dict:
 def _cmd_check_prop1(args) -> dict:
     b1 = _single_branch(load_germ(args.file_a), args.file_a)
     b2 = _single_branch(load_germ(args.file_b), args.file_b)
+    # the arcs sample conjugate 0 of each branch: when the two agree in
+    # every known term, say so, rather than blame the radii for the zero gap
+    if not difference_series(b1, b2, 0)[1]:
+        raise _zero_gap(b1, b2, 0)
     grid = args.grid
     if grid is None:
         r_max = default_branch_grid(b1, b2)[0]

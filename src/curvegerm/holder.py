@@ -47,9 +47,10 @@ out: one per distinct value among a verdict's obstructions, shared by
 every obstruction of that value and by k0, and the result of a public
 obstruction function.  An obstruction is a named tuple.
 :func:`classify` checks each fact once, where it makes it, so it builds
-its obstructions without their constructor's checks; the verdict still
-checks, once per distinct value, that k0 is the largest value and
-below 1.
+its obstructions and its verdict without their constructors' checks:
+each source's count where the germ's summary makes the source, each
+value in (0, 1] where the scan first meets it, and k0 < 1, k0 being the
+scan's running maximum, once at the end.
 """
 
 from __future__ import annotations
@@ -235,6 +236,12 @@ class HolderVerdict:
     (status equivalent_invariants, with the bijection in ``matching``),
     or the germs are certifiably distinct with threshold k0 = max of the
     obstruction values and critical exponent alpha0 = k0**(1/4).
+
+    The constructor, and so ``dataclasses.replace``, checks every field:
+    an equivalent verdict's bijection, and a distinct verdict's exact k0,
+    the largest of its values and below 1.  :func:`classify` checks each
+    of these where it makes it (see the module docstring), so it builds
+    its verdicts without the constructor.
     """
 
     status: str
@@ -389,20 +396,38 @@ def _groups(items):
     return groups
 
 
+def _sources(groups: dict, witness: str) -> tuple:
+    """One obstruction source ``(value, branches, count, witness fragment)``
+    per group of :func:`_groups`, in the groups' order; the fragment is
+    ``witness`` formatted with the group's first branches.  Each count is
+    checked here, where the source is made."""
+    sources = []
+    for value, (where, count) in groups.items():
+        if count < 1:
+            raise ConsistencyError(f"obstruction count {count} is not positive")
+        sources.append((value, where, count, witness.format(*where)))
+    return tuple(sources)
+
+
 class _Summary:
     """What the classifier reads of one germ, whatever it is compared with.
 
     ``marks`` (:func:`_marks`, equal exactly when betas are) are per
     branch, ``den`` and ``contacts`` are the germ's ``_tree``, ``tree``
     is that tree keyed by :func:`_keyed_tree` and ``key`` its root's key.
-    ``mark_groups`` and ``contact_groups``, the :func:`_groups` of the
-    marks by branch and of the contacts by branch pair, are read only for
-    distinct germs, so they are built on first use, the latter from the
-    tree's meetings without a pass over the pairs.  A germ keeps its
-    summary as long as it lives, so it is kept in tuples, most of them of
-    ints, which Python's cyclic garbage collector stops tracking.  It is
-    a plain class because making a dataclass costs about 0.6 ms at every
-    import.
+    The rest is read only for distinct germs, so it is built on first
+    use: ``mark_groups`` and ``contact_groups``, the :func:`_groups` of
+    the marks by branch and of the contacts by branch pair, the latter
+    from the tree's meetings without a pass over the pairs; and, from
+    them, ``as_first`` and ``as_second``, the germ's obstruction sources
+    (:func:`_sources`) as classify's first and as its second germ: a
+    tuple of mark sources and a tuple of contact sources, the contacts
+    as int numerators over ``den``, each with its count checked once and
+    its witness fragment made once, whatever the partner.  A germ keeps
+    its summary as long as it lives, so it is kept in tuples, most of
+    them of ints, which Python's cyclic garbage collector stops tracking.
+    It is a plain class because making a dataclass costs about 0.6 ms at
+    every import.
     """
 
     def __init__(self, marks, den, contacts, tree):
@@ -421,6 +446,21 @@ class _Summary:
             pairs.append(((min(a[0], b[0]), max(a[0], b[0])), c, len(a) * len(b)))
         return _groups(sorted(pairs))
 
+    @cached_property
+    def as_first(self) -> tuple:
+        # the first germ's fragment ends in the " vs " that joins the two
+        return (
+            _sources(self.mark_groups, "branch {} of the first germ vs "),
+            _sources(self.contact_groups, "contact of branches ({},{}) in the first germ vs "),
+        )
+
+    @cached_property
+    def as_second(self) -> tuple:
+        return (
+            _sources(self.mark_groups, "branch {} of the second"),
+            _sources(self.contact_groups, "({},{}) in the second"),
+        )
+
 
 def _summary(g: CurveGerm) -> _Summary:
     """The germ's summary, built on first use and kept in ``g._holder``."""
@@ -432,6 +472,14 @@ def _summary(g: CurveGerm) -> _Summary:
         summary = _Summary(tuple([_marks(d.pairs) for d in data]), den, contacts, tree)
         object.__setattr__(g, "_holder", summary)
     return summary
+
+
+def _verdict(status, matching, k0, obstructions) -> HolderVerdict:
+    """A verdict whose fields :func:`classify` checked as it made them,
+    built without the constructor's checks."""
+    verdict = object.__new__(HolderVerdict)
+    verdict.__dict__.update(status=status, matching=matching, k0=k0, obstructions=obstructions)
+    return verdict
 
 
 def holder_key(g: CurveGerm):
@@ -475,7 +523,8 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
     distinct pair (contact in the first germ, contact in the second).
     Each names the lexicographically first branches, or branch pairs,
     that realise it and counts all that do; each germ's summary groups
-    its branches by marks and its branch pairs by contact once, and one
+    its branches by marks and its branch pairs by contact, and makes its
+    obstruction sources from the groups, once for every partner, and one
     loop scans both kinds.  The list is in the order of those first
     realisations.
     """
@@ -483,53 +532,35 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
     if r1 != r2:
         witness = f"branch counts differ ({r1} vs {r2}); no homeomorphism matches them"
         baseline = Obstruction(KIND_BASELINE, BASELINE, witness)
-        return HolderVerdict(STATUS_DISTINCT, k0=BASELINE, obstructions=(baseline,))
+        return _verdict(STATUS_DISTINCT, None, BASELINE, (baseline,))
 
     s1, s2 = _summary(germ1), _summary(germ2)
     if s1.key == s2.key:
-        return HolderVerdict(STATUS_EQUIVALENT, matching=_first_matching(s1.tree, s2.tree))
+        # a bijection by construction: _first_matching takes each j once
+        return _verdict(STATUS_EQUIVALENT, _first_matching(s1.tree, s2.tree), None, ())
 
-    obstructions = [
-        Obstruction(KIND_BASELINE, BASELINE, "always present; keeps the set non-empty")
-    ]
-    # a source is (value, branches, count, witness fragment), one per group;
-    # each germ's contacts over its own denominator are put over den1 * den2
+    (marks1, contacts1), (marks2, contacts2) = s1.as_first, s2.as_second
+    if s1.den != s2.den:
+        # each germ's contacts over its own denominator, put over den1 * den2
+        contacts1 = [(c * s2.den, p, n, w) for c, p, n, w in contacts1]
+        contacts2 = [(c * s1.den, p, n, w) for c, p, n, w in contacts2]
     scans = (
-        (
-            KIND_CHAR_EXPONENTS,
-            _branch_ratio,
-            [
-                (m, u, n, f"branch {u[0]} of the first germ")
-                for m, (u, n) in s1.mark_groups.items()
-            ],
-            [(m, u, n, f"branch {u[0]} of the second") for m, (u, n) in s2.mark_groups.items()],
-        ),
-        (
-            KIND_CONTACT,
-            _contact_ratio,
-            [
-                (c * s2.den, p, n, f"contact of branches ({p[0]},{p[1]}) in the first germ")
-                for c, (p, n) in s1.contact_groups.items()
-            ],
-            [
-                (c * s1.den, p, n, f"({p[0]},{p[1]}) in the second")
-                for c, (p, n) in s2.contact_groups.items()
-            ],
-        ),
+        (KIND_CHAR_EXPONENTS, _branch_ratio, marks1, marks2),
+        (KIND_CONTACT, _contact_ratio, contacts1, contacts2),
     )
-    # each fact is checked once, where it is made, so the obstructions skip
-    # their constructor's checks: every count here, and below every value
-    for _, _, sources1, sources2 in scans:
-        for _, _, n, _ in sources1 + sources2:
-            if n < 1:
-                raise ConsistencyError(f"obstruction count {n} is not positive")
-    # k0 as an int pair, raised by cross-multiplication when a value is
-    # first seen, and as that value's Fraction.  ``values`` maps each
-    # unreduced (num, den) pair and ``reduced`` each value in lowest terms
-    # to one Fraction per value, shared by every obstruction of that value
+    # each fact is checked once, where it is made, so the obstructions and
+    # the verdict skip their constructors' checks: every count where the
+    # summary made its source, every value below where it is first met.
+    # k0 is the running maximum, an int pair in lowest terms raised by
+    # cross-multiplication, and that value's Fraction.  ``values`` maps
+    # each unreduced (num, den) pair and ``reduced`` each value in lowest
+    # terms to one Fraction per value, shared by every obstruction of it
     k0, top, bottom = BASELINE, BASELINE.numerator, BASELINE.denominator
     values: dict[tuple[int, int], Fraction] = {}
     reduced = {(top, bottom): BASELINE}
+    obstructions = [
+        Obstruction(KIND_BASELINE, BASELINE, "always present; keeps the set non-empty")
+    ]
     new = tuple.__new__
     for kind, ratio_of, sources1, sources2 in scans:
         for value1, first, n1, w1 in sources1:
@@ -538,15 +569,16 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
                 if ratio is not None:
                     value = values.get(ratio)
                     if value is None:
-                        num, den = ratio
-                        value = Fraction(num, den)
-                        key = value.numerator, value.denominator
-                        if not 0 < key[0] <= key[1]:
+                        value = Fraction(*ratio)
+                        p, q = key = value.numerator, value.denominator
+                        if not 0 < p <= q:
                             raise ConsistencyError(f"obstruction value {value} outside (0, 1]")
                         value = values[ratio] = reduced.setdefault(key, value)
-                        if num * bottom > top * den:
-                            k0, top, bottom = value, num, den
+                        if p * bottom > top * q:
+                            k0, top, bottom = value, p, q
                     obstructions.append(
-                        new(Obstruction, (kind, value, f"{w1} vs {w2}", first, second, n1 * n2))
+                        new(Obstruction, (kind, value, w1 + w2, first, second, n1 * n2))
                     )
-    return HolderVerdict(STATUS_DISTINCT, k0=k0, obstructions=tuple(obstructions))
+    if not top < bottom:
+        raise ConsistencyError("distinct verdict needs k0 = max obstruction < 1")
+    return _verdict(STATUS_DISTINCT, None, k0, tuple(obstructions))

@@ -183,6 +183,16 @@ def estimate_contact(a: ArcSample, b: ArcSample, grid) -> ContactEstimate:
     return _fit_loglog(grid, gap_profile(a, b))
 
 
+def _zero_gap(b1: PuiseuxBranch, b2: PuiseuxBranch, k: int) -> ValueError:
+    """The error for conjugate k of b2 that agrees with b1 in every known
+    term, so that their gap is zero at every radius."""
+    known = min(Fraction(b1.truncation, b1.n), Fraction(b2.truncation, b2.n))
+    return ValueError(
+        f"zero gap: conjugate {k} of the second branch agrees with the first "
+        f"in every known term, up to order {known} in x"
+    )
+
+
 def branch_gap_profile(
     b1: PuiseuxBranch, b2: PuiseuxBranch, radii, angles: int = DEFAULT_ANGLES
 ) -> np.ndarray:
@@ -217,11 +227,7 @@ def branch_gap_profile(
     rows = [dict(terms) for _, terms in _differences(b1, b2, range(b2.n))]
     for k, row in enumerate(rows):
         if not row:
-            known = min(Fraction(b1.truncation, b1.n), Fraction(b2.truncation, b2.n))
-            raise ValueError(
-                f"zero gap: conjugate {k} of the second branch agrees with the first "
-                f"in every known term, up to order {known} in x"
-            )
+            raise _zero_gap(b1, b2, k)
     # one column per exponent that survives in some conjugate; a term
     # that cancels exactly is an exact 0 in its conjugate's row
     exps = sorted(set().union(*rows))

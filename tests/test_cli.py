@@ -201,6 +201,19 @@ def test_estimate_of_a_file_against_itself_names_the_conjugate(capsys):
     )
 
 
+def test_check_prop1_of_a_file_against_itself_names_the_conjugate(capsys):
+    # the sampled arcs agree at every radius: the zero gap is named as
+    # estimate names it, not blamed on the radii
+    path = str(DEMO_DATA / "parabola.json")
+    code, payload = run_json(capsys, ["check-prop1", path, path, "--beta", "1.25"])
+    assert code == 4
+    assert payload["error_kind"] == "unsupported"
+    assert payload["message"] == (
+        "zero gap: conjugate 0 of the second branch agrees with the first "
+        "in every known term, up to order 16 in x"
+    )
+
+
 def test_estimate_of_an_underflowing_gap_names_the_radius(tmp_path, capsys):
     parabola = {
         "branches": [

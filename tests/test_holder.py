@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import json
@@ -778,6 +779,63 @@ def test_classify_checks_each_source_count():
     groups[marks] = (first, 0)
     with pytest.raises(ConsistencyError, match="count 0 is not positive"):
         classify(g1, g2)
+
+
+def test_classify_checks_that_k0_is_below_one(monkeypatch):
+    # every contact obstruction is 1, which lies in (0, 1], so only the
+    # final check on the running maximum can catch it
+    g1 = germ([branch(1, [], truncation=16), branch(1, [(2, 1)], truncation=16)])
+    g2 = germ([branch(1, [], truncation=16), branch(1, [(3, 1)], truncation=16)])
+    monkeypatch.setattr(holder, "_contact_ratio", lambda cont1, cont2: (2, 2))
+    with pytest.raises(ConsistencyError, match="k0 = max obstruction < 1"):
+        classify(g1, g2)
+
+
+def test_a_germs_sources_are_built_once_for_every_partner():
+    g = germ([branch(2, [(5, 1)], truncation=8), branch(1, [(2, 1)], truncation=8)])
+    partners = [
+        germ([branch(2, [(3, 1)], truncation=8), branch(1, [(2, 1)], truncation=8)]),
+        germ([branch(1, [(3, 1)], truncation=8), branch(3, [(4, 1)], truncation=8)]),
+    ]
+    summary = _summary(g)
+    classify(g, partners[0])
+    classify(partners[0], g)
+    as_first, as_second = summary.as_first, summary.as_second
+    # marks, then contacts as numerators over the germ's den = 2; the
+    # second partner's den is 3, so classify rescales against it
+    assert as_first == (
+        (
+            (((5, 2),), (0,), 1, "branch 0 of the first germ vs "),
+            (((1, 1),), (1,), 1, "branch 1 of the first germ vs "),
+        ),
+        ((4, (0, 1), 1, "contact of branches (0,1) in the first germ vs "),),
+    )
+    assert as_second[1] == ((4, (0, 1), 1, "(0,1) in the second"),)
+    assert [_summary(p).den for p in partners] == [2, 3]
+    for partner in partners:
+        for verdict in (classify(g, partner), classify(partner, g)):
+            assert verdict.status == STATUS_DISTINCT
+        assert summary.as_first is as_first and summary.as_second is as_second
+
+
+def test_the_constructor_accepts_every_verdict_classify_builds(generated_germs):
+    # classify builds its verdicts without the constructor; the
+    # constructor's checks must pass on every one of them
+    demos = [load_germ(path) for path in sorted(DEMO_DATA.glob("*.json"))]
+    germs = [g for _, g, _ in generated_germs] + demos
+    statuses = Counter()
+    for g1, g2 in itertools.product(germs, germs):
+        v = classify(g1, g2)
+        assert HolderVerdict(v.status, v.matching, v.k0, v.obstructions) == v
+        statuses[v.status, g1 in demos and g2 in demos] += 1
+        if v.status == STATUS_DISTINCT:
+            # among the values but not their maximum, or below them all
+            below = BASELINE if v.k0 > BASELINE else v.k0 / 2
+            with pytest.raises(ConsistencyError, match="k0 = max obstruction < 1"):
+                dataclasses.replace(v, k0=below)
+    assert len(germs) == 88 and len(demos) == 8
+    assert statuses[STATUS_EQUIVALENT, True] + statuses[STATUS_DISTINCT, True] == 64
+    assert min(statuses.values()) > 0, statuses
 
 
 def test_verdict_serialization():
