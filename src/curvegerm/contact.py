@@ -14,14 +14,18 @@ characteristic data lies beyond its truncation still reports.  I is
 always a positive integer; that is checked, so truncation bugs fail
 loudly with ConsistencyError.  Fractions are made only for the values
 handed out, one per distinct contact: :func:`contact`,
-:class:`ContactReport` and its JSON.
+:class:`ContactReport` and its JSON.  The report builds each from the
+contact's reduced ints (``cyclotomic._fraction``), not through
+``Fraction``'s constructor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from curvegerm.cyclotomic import _fraction
 from curvegerm.invariants import _steps
 from curvegerm.puiseux import (
     ConsistencyError,
@@ -165,7 +169,8 @@ def contact_report(g: CurveGerm) -> ContactReport:
     for p, gathered, child in _meetings(tree):
         met += len(gathered) * len(child)
         if p not in fractions:
-            fractions[p] = Fraction(p, den)
+            common = math.gcd(p, den)
+            fractions[p] = _fraction(p // common, den // common)
         c, known = fractions[p], {}
         # each pair in index order: Noether's formula reads the first's steps
         for a in gathered:

@@ -32,6 +32,19 @@ from fractions import Fraction
 _ZERO = Fraction(0)
 
 
+def _fraction(p: int, q: int) -> Fraction:
+    """p/q as a Fraction, for ints p and q > 0 with gcd(p, q) == 1.
+
+    The caller has reduced the pair, so this writes the two slots
+    directly, as CPython's own ``Fraction._from_coprime_ints`` (3.12+)
+    does, without the constructor's type dispatch and second gcd.  The
+    result equals, hashes, prints and pickles as ``Fraction(p, q)``.
+    """
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = p, q
+    return value
+
+
 def _exact_quotient(num, den):
     """Divide integer coefficient tuples exactly; ``den`` must be monic."""
     num, deg = list(num), len(den) - 1

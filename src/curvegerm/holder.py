@@ -45,12 +45,15 @@ multiplicities.  The scan compares values as unreduced int pairs from
 cross-multiplication.  A ``Fraction`` is made only for a value handed
 out: one per distinct value among a verdict's obstructions, shared by
 every obstruction of that value and by k0, and the result of a public
-obstruction function.  An obstruction is a named tuple.
+obstruction function.  The scan reduces each new int pair with
+``math.gcd`` and builds a value from the coprime ints
+(``cyclotomic._fraction``), not through ``Fraction``'s constructor, and
+only when no equal value was met before.  An obstruction is a named tuple.
 :func:`classify` checks each fact once, where it makes it, so it builds
 its obstructions and its verdict without their constructors' checks:
 each source's count where the germ's summary makes the source, each
-value in (0, 1] where the scan first meets it, and k0 < 1, k0 being the
-scan's running maximum, once at the end.
+value in (0, 1], as reduced ints, where the scan first meets it, and
+k0 < 1, k0 being the scan's running maximum, once at the end.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 
+from curvegerm.cyclotomic import _fraction
 from curvegerm.invariants import CharacteristicData, characteristic_data
 from curvegerm.puiseux import ConsistencyError, CurveGerm, _meetings
 
@@ -569,11 +573,17 @@ def classify(germ1: CurveGerm, germ2: CurveGerm) -> HolderVerdict:
                 if ratio is not None:
                     value = values.get(ratio)
                     if value is None:
-                        value = Fraction(*ratio)
-                        p, q = key = value.numerator, value.denominator
+                        num, den = ratio
+                        g = math.gcd(num, den)
+                        p, q = key = num // g, den // g
                         if not 0 < p <= q:
-                            raise ConsistencyError(f"obstruction value {value} outside (0, 1]")
-                        value = values[ratio] = reduced.setdefault(key, value)
+                            raise ConsistencyError(
+                                f"obstruction value {Fraction(num, den)} outside (0, 1]"
+                            )
+                        value = reduced.get(key)
+                        if value is None:
+                            value = reduced[key] = _fraction(p, q)
+                        values[ratio] = value
                         if p * bottom > top * q:
                             k0, top, bottom = value, p, q
                     obstructions.append(

@@ -73,3 +73,12 @@ def test_classify_branches_round_has_no_failed_op(monkeypatch):
     failed = _failed(ops)
     assert len(ops) == 16
     assert failed == {}
+
+
+def test_contact_fields_round_has_no_failed_op(monkeypatch):
+    _load(monkeypatch, "inputs", BENCH / "inputs.py")
+    workloads = _load(monkeypatch, "bench_workloads", BENCH / "workloads.py")
+    ops = workloads.build_contact(1)
+    failed = _failed(ops)
+    assert len(ops) == 9
+    assert failed == {}

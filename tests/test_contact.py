@@ -392,6 +392,31 @@ def test_noether_runs_once_per_meeting_on_the_smooth_chain(monkeypatch):
             intersection_multiplicity(bi, bj))
 
 
+def test_a_report_makes_no_fraction_through_the_constructor(monkeypatch):
+    # contacts 2 and 3/2 over den 2: each is reduced as ints and built
+    # from them, so the constructor never runs
+    g = germ([branch(1, [], truncation=16), branch(1, [(2, 1)], truncation=16),
+              branch(2, [(3, 1)], truncation=16)])
+    new, calls = Fraction.__new__, []
+    monkeypatch.setattr(Fraction, "__new__", lambda *args, **kw: calls.append(1) or new(*args, **kw))
+    report = contact_report(g)
+    monkeypatch.undo()
+    assert calls == []
+    assert report.contact[0][1] == 2 and report.contact[0][2] == report.contact[1][2] == Fraction(3, 2)
+    assert report.contact[0][2] is report.contact[1][2]
+
+
+def test_every_contact_a_report_hands_out_is_reduced(generated_germs):
+    demos = [load_germ(path) for path in sorted(DEMO_DATA.glob("*.json"))]
+    for g in [g for _, g, _ in generated_germs] + demos:
+        report = contact_report(g)
+        for i, j in itertools.combinations(range(report.branch_count), 2):
+            value = report.contact[i][j]
+            p, q = value.numerator, value.denominator
+            assert type(value) is Fraction and q > 0 and math.gcd(p, q) == 1, value
+            assert (str(value), hash(value)) == (str(Fraction(p, q)), hash(Fraction(p, q)))
+
+
 def test_the_constructors_accept_everything_the_library_builds(generated_germs):
     # the report and the characteristic data are built without their
     # constructors; the constructors' checks must pass on every one of them

@@ -1,13 +1,15 @@
 import cmath
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from curvegerm import CyclotomicNumber, cyclotomic_polynomial, zeta
-from curvegerm.cyclotomic import field_degree
+from curvegerm.cyclotomic import _fraction, field_degree
 
 
 # --- independent integer polynomial helpers used only as oracles ----------
@@ -496,3 +498,38 @@ def test_equal_values_from_different_paths_are_equal_and_hash_equal(order):
     half = CyclotomicNumber(12, ["2/4", 0, 0, 0])
     assert half == Fraction(1, 2) and hash(half) == hash(CyclotomicNumber.from_rational(12, "1/2"))
     assert zeta(6).lift(12) == zeta(12, 2) and hash(zeta(6).lift(12)) == hash(zeta(12, 2))
+
+
+def _coprime_pairs(rng):
+    """Seeded coprime (p, q) with q > 0: zero, q = 1, negative numerators
+    and ints well beyond 2**64."""
+    pairs = [(0, 1), (1, 1), (-1, 1), (-7, 1), (1, 2), (-3, 4), (2**64 + 1, 2**64)]
+    for bits in (4, 30, 64, 70, 200):
+        for _ in range(12):
+            p, q = rng.getrandbits(bits) * rng.choice((1, -1)), rng.getrandbits(bits) + 1
+            g = math.gcd(p, q)
+            pairs.append((p // g, q // g))
+        pairs.append((rng.getrandbits(bits) + 1, 1))
+    return pairs
+
+
+def test_a_fraction_from_coprime_ints_is_the_fraction_they_make():
+    rng = random.Random(35)
+    pairs = _coprime_pairs(rng)
+    assert len({q > 2**64 for _, q in pairs}) == 2 and any(p < 0 for p, _ in pairs)
+    for p, q in pairs:
+        x, ref = _fraction(p, q), Fraction(p, q)
+        assert type(x) is Fraction
+        assert x == ref and hash(x) == hash(ref)
+        assert (str(x), repr(x)) == (str(ref), repr(ref))
+        assert (x.numerator, x.denominator) == (p, q)
+        for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert type(twin) is Fraction and twin == ref and hash(twin) == hash(ref)
+        assert float(x) == float(ref)
+        other = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+        assert x + other == ref + other and other + x == other + ref
+        assert x * other == ref * other and x * x == ref * ref
+        for against in (other, ref, p // q, p // q + 1, float(other)):
+            assert (x < against, x <= against, x == against, x > against) == (
+                ref < against, ref <= against, ref == against, ref > against
+            )

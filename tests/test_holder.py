@@ -745,6 +745,40 @@ def test_classify_shares_one_fraction_per_value_with_k0():
     assert any(v is verdict.k0 for v in values)
 
 
+def test_a_distinct_classify_on_built_summaries_makes_no_fraction(monkeypatch):
+    # three branches each, of contact denominators 2 and 6, so the contacts
+    # are rescaled: each value is reduced as ints and built from
+    # them, so the constructor never runs
+    g1 = germ([branch(1, [], truncation=16), branch(1, [(2, 1)], truncation=16),
+               branch(2, [(3, 1)], truncation=16)])
+    g2 = germ([branch(1, [(3, 1)], truncation=16), branch(3, [(4, 1)], truncation=16),
+               branch(2, [(5, 1)], truncation=16)])
+    classify(g1, g2)  # builds each germ's summary and sources
+    new, calls = Fraction.__new__, []
+    monkeypatch.setattr(Fraction, "__new__", lambda *args, **kw: calls.append(1) or new(*args, **kw))
+    verdict = classify(g1, g2)
+    monkeypatch.undo()
+    assert calls == []
+    assert verdict == fraction_classify(g1, g2)
+    assert verdict.k0 == Fraction(17, 18) and len(verdict.obstructions) == 10
+
+
+def test_every_value_classify_hands_out_is_reduced(generated_germs):
+    demos = [load_germ(path) for path in sorted(DEMO_DATA.glob("*.json"))]
+    germs = [g for _, g, _ in generated_germs] + demos
+    distinct = 0
+    for g1, g2 in itertools.product(germs, germs):
+        v = classify(g1, g2)
+        if v.status == STATUS_DISTINCT:
+            distinct += 1
+            for value in {id(o.value): o.value for o in v.obstructions}.values():
+                p, q = value.numerator, value.denominator
+                assert type(value) is Fraction and q > 0 and math.gcd(p, q) == 1, value
+                assert (str(value), hash(value)) == (str(Fraction(p, q)), hash(Fraction(p, q)))
+            assert math.gcd(v.k0.numerator, v.k0.denominator) == 1 and v.k0.denominator > 0
+    assert distinct > 0
+
+
 def test_a_distinct_verdict_keeps_few_bytes_per_obstruction():
     # the caterpillars y = x^(k+1) and y = x^(k+2), k = 1..120: 14,044
     # obstructions.  Named tuples keep about 280 B each on Python 3.11,
